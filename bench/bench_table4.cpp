@@ -24,7 +24,7 @@ int main() {
   DesignFlow maeri(netlist::make_maeri_128pe(), cfg);
   DesignFlow a7_train(netlist::make_a7_single_core(), cfg);
   auto trained = bench::train_bench_engine({&maeri, &a7_train});
-  std::printf("engine: %zu training paths, val acc %.3f, f1 %.3f, %.1fs train time\n",
+  std::printf("engine: %zu training paths, val acc %.3f, f1 %.3f, %.1fs fine-tune time\n",
               trained.corpus_paths, trained.report.val_metrics.accuracy,
               trained.report.val_metrics.f1, trained.report.train_seconds);
 

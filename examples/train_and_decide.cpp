@@ -23,7 +23,7 @@ int main() {
 
   GnnMlsConfig engine_cfg;  // 3 transformer layers, 3 heads (paper III-C)
   TrainedEngine trained = train_engine_on({&train_maeri, &train_a7}, engine_cfg, 500);
-  std::printf("\ntrained on %zu paths in %.1f s\n", trained.corpus_paths,
+  std::printf("\ntrained on %zu paths, %.1f s fine-tune time\n", trained.corpus_paths,
               trained.report.train_seconds);
   std::printf("validation: accuracy %.3f, precision %.3f, recall %.3f, F1 %.3f\n",
               trained.report.val_metrics.accuracy, trained.report.val_metrics.precision,

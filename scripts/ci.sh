@@ -19,6 +19,15 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 GNNMLS_GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 export GNNMLS_GIT_REV
 
+echo "==> knob gate: GNNMLS_* knobs are read only through src/util/env"
+# util/env.{hpp,cpp} holds the one knob table (name, default, help) and the
+# only environment read; gnnmls_lint --help prints the table.
+if grep -rn 'getenv' src tools bench examples | grep -v '^src/util/env.cpp:'; then
+  echo "knob gate FAILED: getenv outside src/util/env.cpp"
+  exit 1
+fi
+echo "knob gate OK"
+
 echo "==> tier-1: build + ctest (build/)"
 cmake -B build -S . -DGNNMLS_WERROR=ON
 cmake --build build -j "${JOBS}"
@@ -32,6 +41,29 @@ rm -f PERF_LEDGER.jsonl
 ./build/tools/gnnmls_lint --design maeri16 --strategy sota \
   --metrics-out=LINT_metrics.json --ledger=PERF_LEDGER.jsonl | tee LINT_sota.txt
 ./build/tools/gnnmls_lint --design maeri16 --strategy sota --with-dft
+
+echo "==> lint matrix: paper designs x strategies x stacks must lint clean"
+# Every paper design under every MLS strategy, heterogeneous and --homo
+# (about 1.5 s a cell). Five cells still fail the checker today and are left
+# out until ROADMAP item 2 fixes them; no rule severity is lowered:
+#   a7-dual hetero, none/sota/gnn: 8x PDN-002 (a tier-1 net drives a BUF
+#     without a level shifter), plus RT-002 under gnn;
+#   a7-dual gnn --homo and a7-single gnn --homo: RT-002 (shared segments
+#     below the legal shared pairs).
+lint_red=" a7-dual/none/hetero a7-dual/sota/hetero a7-dual/gnn/hetero a7-dual/gnn/homo a7-single/gnn/homo "
+for design in maeri128 maeri256 a7-single a7-dual; do
+  for strategy in none sota gnn; do
+    for stack in hetero homo; do
+      [[ "${lint_red}" == *" ${design}/${strategy}/${stack} "* ]] && continue
+      flags=(--design "${design}" --strategy "${strategy}")
+      [[ "${stack}" == homo ]] && flags+=(--homo)
+      ./build/tools/gnnmls_lint "${flags[@]}" >LINT_matrix.txt \
+        || { echo "lint matrix FAILED: ${flags[*]}"; cat LINT_matrix.txt; exit 1; }
+      echo "lint matrix OK: ${flags[*]}"
+    done
+  done
+done
+rm -f LINT_matrix.txt
 
 echo "==> metrics-snapshot gate: the JSON dump must carry the flow's histograms"
 grep -q '"route.edge_route_s"' LINT_metrics.json
@@ -212,57 +244,6 @@ echo "==> perf smoke: observability primitives (BENCH_obs.json)"
   --benchmark_min_time=0.05
 ./build/tools/gnnmls_report ingest BENCH_obs.json --ledger PERF_LEDGER.jsonl --label obs-micro
 
-echo "==> svc stress gate: multi-session isolation, quarantine, and svc chaos"
-# The deterministic stress driver replays seeded mutation streams against N
-# concurrent sessions, then replays every journal into a freshly forked solo
-# twin: contaminated=0 means every live fingerprint was bit-identical to its
-# twin (no cross-session state bleed), leaked=0 means no rollback ever let a
-# failed wave's state escape. The driver exits nonzero on either, but the
-# grep keeps the gate honest against summary-format drift.
-./build/tools/gnnmls_stress --sessions 4 --requests 5 --seed 7 --workers 4 \
-  --bench-out BENCH_svc.json | tee STRESS_svc.txt
-grep -q 'contaminated=0 leaked=0' STRESS_svc.txt
-rm -f STRESS_svc.txt
-./build/tools/gnnmls_report ingest BENCH_svc.json --ledger PERF_LEDGER.jsonl --label svc-stress
-# Throughput floor + the accounting invariant (submitted == executed + shed
-# + rejected) from the bench JSON.
-./build/tools/gnnmls_report check-svc BENCH_svc.json
-
-# Quarantine path: a poisoned session must quarantine while its neighbors
-# stay twin-identical, and the black box must name the quarantined session.
-svc_dump=flight_svc.json
-rm -f "${svc_dump}"
-GNNMLS_FLIGHT_OUT="${svc_dump}" ./build/tools/gnnmls_stress --sessions 3 --requests 4 \
-  --seed 11 --poison-session 0 --poison-count 3 | tee STRESS_quarantine.txt
-grep -q 'quarantined=1' STRESS_quarantine.txt
-grep -q 'name=s0 state=quarantined' STRESS_quarantine.txt
-grep -q 'contaminated=0 leaked=0' STRESS_quarantine.txt
-grep -q '"session":"s0"' "${svc_dump}"
-grep -q 'session-quarantined' "${svc_dump}"
-rm -f STRESS_quarantine.txt "${svc_dump}"
-
-# Chaos sweep over the service-layer fault sites: each must trip exactly
-# once, land as a structured outcome (shed/reject/failure — never a crash),
-# and leave every surviving session twin-identical. svc.quarantine is only
-# reachable with a failing stream, so that run rides the poison path.
-svc_chaos() {
-  local site="$1" out
-  shift
-  out="$(GNNMLS_FAULT="${site}" ./build/tools/gnnmls_stress --sessions 3 --requests 4 \
-         --seed 5 "$@")" \
-    || { echo "svc chaos FAILED: ${site} broke the service"; echo "${out}"; exit 1; }
-  grep -q 'faults_injected=1' <<<"${out}" \
-    || { echo "svc chaos FAILED: ${site} never tripped"; echo "${out}"; exit 1; }
-  grep -q 'contaminated=0 leaked=0' <<<"${out}" \
-    || { echo "svc chaos FAILED: ${site} contaminated a session"; echo "${out}"; exit 1; }
-  echo "svc chaos OK: ${site}"
-}
-svc_chaos svc.admit
-svc_chaos svc.fork
-svc_chaos svc.request
-svc_chaos svc.quarantine --poison-session 1 --poison-count 3
-echo "svc stress gate OK"
-
 echo "==> ledger gate: gnnmls_report must flag a synthetic >10% stage regression"
 # Self-test of the regression detector with two known records: identical
 # records must diff clean (exit 0), a 25% route regression must flip the
@@ -316,14 +297,14 @@ if [[ "${FAST}" == "0" ]]; then
   echo "==> tsan: -fsanitize=thread build + parallel-wave suites (build-tsan/)"
   # Thread sanitizer over the code that actually runs multi-threaded: the
   # pass-manager/executor suites, the fault-injection recovery loop, the
-  # access-audit recorder, and the sharded router's speculative edge tasks,
-  # each forced to 4 worker threads so waves really interleave, plus the
-  # chaos sweep end to end. (A full ctest run under TSan is ~10x wall
+  # access-audit recorder, the sharded router's speculative edge tasks, and
+  # concurrent warm forks of private flows, each forced to 4 worker threads
+  # so waves really interleave, plus the chaos sweep end to end. (A full ctest run under TSan is ~10x wall
   # clock; these binaries cover every concurrent path.)
   cmake -B build-tsan -S . -DGNNMLS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "${JOBS}" \
     --target test_flow_passes test_ft test_audit test_route test_obs test_ml_engine \
-             test_svc gnnmls_lint
+             test_core gnnmls_lint
   # test_obs carries the histogram/flight-recorder concurrent-writer hammers.
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_obs
   # test_ml_engine drives the batched forward across Executor worker threads.
@@ -332,9 +313,9 @@ if [[ "${FAST}" == "0" ]]; then
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_ft
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_audit
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_route
-  # test_svc runs the worker pool with concurrent sessions forking, mutating,
-  # and restoring private DesignDBs — the satellite concurrency contract.
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_svc
+  # test_core forks private flows on concurrent threads from one shared
+  # DesignDB snapshot, each mutating and re-evaluating its own DB.
+  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_core
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 chaos_sweep ./build-tsan/tools/gnnmls_lint
 
   echo "==> sanitizers: ASan+UBSan build + full test suite (build-asan/)"

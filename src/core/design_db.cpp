@@ -297,7 +297,7 @@ DesignDB::Snapshot DesignDB::snapshot(std::span<const Stage> stages) const {
 void DesignDB::restore(const Snapshot& snap) {
   tags_ = snap.tags;
   // Monotone: never rewind (rollback), but catch up to the source DB's
-  // watermark when the snapshot came from another DB (session fork).
+  // watermark when the snapshot came from another DB (cross-DB fork).
   std::uint64_t cur = counter_.load(std::memory_order_relaxed);
   while (cur < snap.counter &&
          !counter_.compare_exchange_weak(cur, snap.counter, std::memory_order_relaxed)) {

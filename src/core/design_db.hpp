@@ -201,7 +201,7 @@ class DesignDB {
     std::array<StageTag, kNumStages> tags{};
     // Revision-counter watermark at capture time. restore() advances the
     // target DB's counter to at least this value: restoring into a *different*
-    // DB (session forking, src/svc/) must not let the fork's next commit
+    // DB (a warm fork of another flow) must not let the fork's next commit
     // reissue a revision number the captured tags already hold, or a stale
     // stage could alias a fresh built_from link. In-place rollback is
     // unaffected (the counter there is already past the watermark).

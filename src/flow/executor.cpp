@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 
 namespace gnnmls::flow {
 
 Executor::Executor(int threads) : threads_(threads < 1 ? 1 : threads) {}
 
 int Executor::threads_from_env() {
-  const char* env = std::getenv("GNNMLS_THREADS");  // NOLINT(concurrency-mt-unsafe): read once at startup
-  if (env == nullptr || *env == '\0') return 1;
-  const int n = std::atoi(env);
-  if (n < 1) return 1;
-  return n > 64 ? 64 : n;
+  return util::env::integer(util::env::Knob::kThreads, 1);
 }
 
 std::vector<std::exception_ptr> Executor::run_collect(

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -16,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace gnnmls::flow {
@@ -85,9 +84,7 @@ std::uint64_t PassManager::fingerprint_of(const Pass& pass, const core::DesignDB
 bool PassManager::audit_enabled(const FlowConfig& config) {
   // Read once per run() on the dispatch thread, same discipline as
   // ft::resolve / Executor::threads_from_env.
-  const char* env = std::getenv("GNNMLS_AUDIT");  // NOLINT(concurrency-mt-unsafe)
-  if (env == nullptr || *env == '\0') return config.audit;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
+  return util::env::flag(util::env::Knob::kAudit, config.audit);
 }
 
 bool PassManager::wants_run(const Pass& pass, const core::DesignDB& db) const {

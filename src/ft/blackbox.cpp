@@ -1,27 +1,14 @@
 #include "ft/blackbox.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace gnnmls::ft {
-
-namespace {
-// NOLINTNEXTLINE(runtime/string): intentional per-thread lifetime.
-thread_local std::string t_session_label;  // NOLINT(cert-err58-cpp)
-}  // namespace
-
-const std::string& session_label() { return t_session_label; }
-
-SessionLabelScope::SessionLabelScope(std::string label) : previous_(std::move(t_session_label)) {
-  t_session_label = std::move(label);
-}
-
-SessionLabelScope::~SessionLabelScope() { t_session_label = std::move(previous_); }
 
 std::string black_box_json(const std::vector<FlowError>& failures, std::size_t wave,
                            std::size_t attempt, const std::string& note,
@@ -30,7 +17,6 @@ std::string black_box_json(const std::vector<FlowError>& failures, std::size_t w
   out += ",\"wave\":" + util::json_num(static_cast<double>(wave));
   out += ",\"attempt\":" + util::json_num(static_cast<double>(attempt));
   out += ",\"note\":" + util::json_quote(note);
-  out += ",\"session\":" + util::json_quote(t_session_label);
   out += ",\"failures\":[";
   bool first = true;
   for (const FlowError& e : failures) {
@@ -49,8 +35,7 @@ std::string black_box_json(const std::vector<FlowError>& failures, std::size_t w
 
 std::string dump_black_box(const std::vector<FlowError>& failures, std::size_t wave,
                            std::size_t attempt, const std::string& note) {
-  const char* env = std::getenv("GNNMLS_FLIGHT_OUT");  // NOLINT(concurrency-mt-unsafe)
-  std::string path = env ? env : "flight_recorder.json";
+  const std::string path = util::env::str(util::env::Knob::kFlightOut);
   if (path.empty() || path == "off") return "";
   const std::string json = black_box_json(failures, wave, attempt, note);
   std::FILE* f = std::fopen(path.c_str(), "w");

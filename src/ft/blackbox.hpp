@@ -21,24 +21,6 @@
 
 namespace gnnmls::ft {
 
-// Session attribution for dumps. The service layer (src/svc/) labels the
-// thread executing a session's request; any black box dumped from that thread
-// — including ones initiated deep inside the PassManager — then names the
-// session it belongs to, so a quarantine dump says *whose* wave failed.
-// Thread-local so concurrent sessions on different workers never mix labels.
-const std::string& session_label();
-
-class SessionLabelScope {
- public:
-  explicit SessionLabelScope(std::string label);
-  ~SessionLabelScope();
-  SessionLabelScope(const SessionLabelScope&) = delete;
-  SessionLabelScope& operator=(const SessionLabelScope&) = delete;
-
- private:
-  std::string previous_;
-};
-
 // The dump payload as a string (exposed for tests): failure context plus the
 // last `max_events` recorder events (0 = all).
 std::string black_box_json(const std::vector<FlowError>& failures, std::size_t wave,

@@ -13,9 +13,6 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kCheckFailed: return "check-failed";
     case ErrorCode::kResourceExhausted: return "resource-exhausted";
     case ErrorCode::kPassFailed: return "pass-failed";
-    case ErrorCode::kAdmissionRejected: return "admission-rejected";
-    case ErrorCode::kSessionQuarantined: return "session-quarantined";
-    case ErrorCode::kShuttingDown: return "shutting-down";
   }
   return "?";
 }

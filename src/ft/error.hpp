@@ -31,10 +31,6 @@ enum class ErrorCode : std::uint8_t {
   kCheckFailed,        // strict design-integrity checks found errors
   kResourceExhausted,  // std::bad_alloc
   kPassFailed,         // std::runtime_error from a pass body
-  // Service-layer codes (src/svc/). Stable: wire clients key on these.
-  kAdmissionRejected,   // queue/in-flight budget exceeded — retry later
-  kSessionQuarantined,  // session exceeded its failure budget; not retryable
-  kShuttingDown,        // service is draining; not retryable on this instance
 };
 
 const char* to_string(ErrorCode code);

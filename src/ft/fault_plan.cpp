@@ -7,6 +7,7 @@
 #include "ft/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace gnnmls::ft {
@@ -27,10 +28,6 @@ constexpr FaultSite kSites[] = {
     {"pdn.synthesize", "PDN synthesis dispatched, kPdn not yet committed", false},
     {"check.run", "integrity audit dispatched (pure-read wave member)", false},
     {"decide.infer", "GNN inference dispatched; DecidePass degrades to SOTA", false},
-    {"svc.admit", "admission check passed, request not yet enqueued", false},
-    {"svc.fork", "session slot reserved, baseline DB not yet forked", false},
-    {"svc.request", "request dequeued on a worker, session state untouched", false},
-    {"svc.quarantine", "failure budget exceeded, quarantine transition pending", false},
 };
 
 }  // namespace
@@ -45,8 +42,8 @@ namespace {
 // variable was present. Bad specs abort with a clear message (a typo'd chaos
 // run silently testing nothing is worse than a crash).
 bool arm_from_env(FaultPlan& plan) {
-  const char* env = std::getenv("GNNMLS_FAULT");  // NOLINT(concurrency-mt-unsafe): first touch, pre-threads
-  if (env == nullptr || *env == '\0') return false;
+  const std::string env = util::env::str(util::env::Knob::kFault);  // first touch, pre-threads
+  if (env.empty()) return false;
   std::string_view specs(env);
   while (!specs.empty()) {
     const std::size_t comma = specs.find(',');
@@ -161,8 +158,7 @@ void FaultPlan::visit(const char* site) {
 
 bool FaultPlan::init_from_env() {
   instance();  // first touch already armed from the environment
-  const char* env = std::getenv("GNNMLS_FAULT");  // NOLINT(concurrency-mt-unsafe)
-  return env != nullptr && *env != '\0';
+  return !util::env::str(util::env::Knob::kFault).empty();
 }
 
 }  // namespace gnnmls::ft

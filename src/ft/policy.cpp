@@ -1,35 +1,22 @@
 #include "ft/policy.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 
 namespace gnnmls::ft {
 
-// NOLINTBEGIN(concurrency-mt-unsafe): getenv-only, and every caller resolves
-// on the dispatch thread before any worker spawns.
 FtOptions resolve(const FtOptions& base) {
+  using util::env::Knob;
   FtOptions out = base;
-  if (const char* env = std::getenv("GNNMLS_FT"); env != nullptr)
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) out.transactional = false;
-  if (const char* env = std::getenv("GNNMLS_MAX_RETRIES"); env != nullptr && *env != '\0') {
-    const int n = std::atoi(env);
-    if (n >= 0) out.max_retries = n;
-  }
-  if (const char* env = std::getenv("GNNMLS_BACKOFF_MS"); env != nullptr && *env != '\0') {
-    const double v = std::atof(env);
-    if (v >= 0.0) out.backoff_base_ms = v;
-  }
-  if (const char* env = std::getenv("GNNMLS_PASS_BUDGET_S"); env != nullptr && *env != '\0') {
-    const double v = std::atof(env);
-    if (v >= 0.0) out.pass_budget_s = v;
-  }
+  out.transactional = base.transactional && util::env::flag(Knob::kFt, true);
+  out.max_retries = util::env::integer(Knob::kMaxRetries, base.max_retries);
+  out.backoff_base_ms = util::env::real(Knob::kBackoffMs, base.backoff_base_ms);
+  out.pass_budget_s = util::env::real(Knob::kPassBudgetS, base.pass_budget_s);
   return out;
 }
-// NOLINTEND(concurrency-mt-unsafe)
 
 double backoff_ms(const FtOptions& options, int attempt) {
   if (options.backoff_base_ms <= 0.0) return 0.0;

@@ -8,12 +8,10 @@
 // about policies without pulling in the flow configuration; FlowConfig
 // embeds one.
 //
-// Env overrides (resolved per run, so a wrapper script can harden or relax
-// a flow without a recompile):
-//   GNNMLS_FT=off            disable transactions + recovery (legacy rethrow)
-//   GNNMLS_MAX_RETRIES=n     retry budget per wave
-//   GNNMLS_BACKOFF_MS=x      base of the exponential backoff (x * 2^attempt)
-//   GNNMLS_PASS_BUDGET_S=x   per-pass wall-clock budget (0 = watchdog off)
+// Env overrides (util/env.hpp; resolved per run, so a wrapper script can
+// harden or relax a flow without a recompile): GNNMLS_FT=off disables
+// transactions + recovery (legacy rethrow); GNNMLS_MAX_RETRIES,
+// GNNMLS_BACKOFF_MS and GNNMLS_PASS_BUDGET_S override the fields below.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -14,6 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace gnnmls::ml {
@@ -601,11 +600,16 @@ const Kernels& kernels_for(SimdLevel level) {
   return kScalarKernels;
 }
 
-SimdLevel resolve_simd(const char* override_name) {
+namespace {
+
+// The GNNMLS_SIMD override ("scalar"/"avx2") resolved to a level this CPU can
+// run: an avx2 request degrades to scalar with a warning when unsupported;
+// empty or unknown -> best available.
+SimdLevel resolve_simd(const std::string& override_name) {
   const SimdLevel best = cpu_has_avx2() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-  if (override_name == nullptr || *override_name == '\0') return best;
-  if (std::strcmp(override_name, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(override_name, "avx2") == 0) {
+  if (override_name.empty()) return best;
+  if (override_name == "scalar") return SimdLevel::kScalar;
+  if (override_name == "avx2") {
     if (!cpu_has_avx2()) {
       util::log_warn("ml: GNNMLS_SIMD=avx2 requested but unsupported; using scalar kernels");
       return SimdLevel::kScalar;
@@ -617,11 +621,12 @@ SimdLevel resolve_simd(const char* override_name) {
   return best;
 }
 
+}  // namespace
+
 SimdLevel active_simd() {
   int v = g_active.load(std::memory_order_acquire);
   if (v < 0) {
-    const SimdLevel resolved =
-        resolve_simd(std::getenv("GNNMLS_SIMD"));  // NOLINT(concurrency-mt-unsafe)
+    const SimdLevel resolved = resolve_simd(util::env::str(util::env::Knob::kSimd));
     int expected = -1;
     if (g_active.compare_exchange_strong(expected, static_cast<int>(resolved),
                                          std::memory_order_acq_rel)) {

@@ -68,11 +68,6 @@ const Kernels& kernels_for(SimdLevel level);
 // True when this CPU can run the AVX2 variants.
 bool cpu_has_avx2();
 
-// Parses a GNNMLS_SIMD-style override ("scalar"/"avx2"); returns the level
-// actually usable on this CPU (an avx2 request degrades to scalar with a
-// warning when unsupported). nullptr/unknown -> best available.
-SimdLevel resolve_simd(const char* override_name);
-
 // Test/bench hook: force the active level in-process (clamped to what the
 // CPU supports) and re-record the dispatch event. Returns the previous
 // level. Not safe concurrently with running forwards.

@@ -53,6 +53,7 @@ struct TrainReport {
   std::vector<double> fine_tune_loss;  // per epoch
   util::BinaryMetrics train_metrics;
   util::BinaryMetrics val_metrics;
+  // Wall time of fine_tune() alone; DGI pretraining is not included.
   double train_seconds = 0.0;
 };
 

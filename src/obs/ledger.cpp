@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 
 namespace gnnmls::obs {
@@ -41,8 +41,7 @@ LedgerRecord make_record(std::string kind, std::string label) {
   LedgerRecord rec;
   rec.kind = std::move(kind);
   rec.label = std::move(label);
-  const char* rev = std::getenv("GNNMLS_GIT_REV");  // NOLINT(concurrency-mt-unsafe)
-  rec.rev = (rev && *rev) ? rev : "unknown";
+  rec.rev = util::env::git_rev();
   rec.utc = utc_now();
   for (const MetricSample& s : Metrics::instance().snapshot()) {
     if (s.value == 0.0) continue;

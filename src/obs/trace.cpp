@@ -9,6 +9,7 @@
 #include <unistd.h>
 #endif
 
+#include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -271,9 +272,9 @@ bool init_from_env() {
   static std::once_flag once;
   static bool active = false;
   std::call_once(once, [] {
-    const char* path = std::getenv("GNNMLS_TRACE");  // NOLINT(concurrency-mt-unsafe)
-    if (!path || !*path) return;
-    static std::string out_path = path;  // outlives the atexit handler
+    static const std::string out_path =  // outlives the atexit handler
+        util::env::str(util::env::Knob::kTrace);
+    if (out_path.empty()) return;
     Tracer::instance().set_enabled(true);
     std::atexit([] {
       if (Tracer::instance().write_chrome_trace(out_path))

@@ -190,12 +190,6 @@ class Router {
   const std::vector<EdgeRoute>& net_edges(netlist::Id net) const { return edge_routes_[net]; }
   const RoutingGrid& grid() const { return grid_; }
   const RouterOptions& options() const { return options_; }
-  // Engine-selection override after construction: the service layer flips a
-  // session from the negotiated engine to the serial one under overload
-  // (src/svc/). The choice only matters at route_all() dispatch time, so
-  // toggling between evaluates is safe; determinism holds because every
-  // request records which engine it ran (the solo twin replays the same).
-  void set_negotiate(bool on) { options_.negotiate = on; }
 
   // "M1-4(bot)+M6(top)" style rendering for Table I.
   static std::string describe_layers(const NetRoute& r);

@@ -3,20 +3,17 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
+
+#include "util/env.hpp"
 
 namespace gnnmls::util {
 
 namespace {
 
-LogLevel initial_level() {
-  const char* env = std::getenv("GNNMLS_LOG_LEVEL");  // NOLINT(concurrency-mt-unsafe): read once at startup
-  return env ? parse_log_level(env, LogLevel::kInfo) : LogLevel::kInfo;
-}
-
 std::atomic<LogLevel>& level_ref() {
-  static std::atomic<LogLevel> level{initial_level()};
+  static std::atomic<LogLevel> level{
+      parse_log_level(env::str(env::Knob::kLogLevel), LogLevel::kInfo)};
   return level;
 }
 

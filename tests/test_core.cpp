@@ -1,14 +1,23 @@
 // Tests for the versioned DesignDB core: stage revisions, freshness,
 // invalidation cascades, the dirty-net set, the netlist mutation journal,
-// and the flow-level behaviors built on them (timing-graph rebuild on
-// netlist change, RT-005 as a revision comparison).
+// the flow-level behaviors built on them (timing-graph rebuild on netlist
+// change, RT-005 as a revision comparison), and warm forks: snapshots
+// restored across DBs, also from concurrent threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <exception>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/design_db.hpp"
 #include "mls/flow.hpp"
 #include "netlist/generators.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -201,12 +210,14 @@ TEST(NetlistJournal, MutatorsBumpRevisionAndRecordNets) {
 
 // ---- flow-level behaviors on top of the DB --------------------------------
 
-mls::DesignFlow make_flow() {
+mls::FlowConfig flow_config() {
   mls::FlowConfig cfg;
   cfg.heterogeneous = true;
   cfg.run_pdn = false;
-  return mls::DesignFlow(netlist::make_maeri_16pe(), cfg);
+  return cfg;
 }
+
+mls::DesignFlow make_flow() { return mls::DesignFlow(netlist::make_maeri_16pe(), flow_config()); }
 
 // Rewires one sink of a routed net without changing any array size: the
 // exact mutation the old size-heuristic RT-005 could not see.
@@ -255,6 +266,115 @@ TEST(FlowDB, Rt005FiresOnRevisionNotJustSize) {
   flow.evaluate_no_mls();
   const check::Report again = flow.run_checks();
   EXPECT_TRUE(again.clean()) << again.render();
+}
+
+// ---- warm forks: snapshots restored across DBs ---------------------------
+
+// The state every fork starts from: maeri16 evaluated without MLS, with
+// every stage captured.
+DesignDB::Snapshot warm_baseline() {
+  static constexpr Stage kAll[] = {Stage::kNetlist, Stage::kPlacement, Stage::kRoutes,
+                                   Stage::kTiming, Stage::kPower, Stage::kPdn, Stage::kTest};
+  mls::DesignFlow base = make_flow();
+  base.evaluate_no_mls();
+  return base.db().snapshot(kAll);
+}
+
+// A private flow over a fresh copy of the raw design, warmed by restoring
+// the baseline snapshot. prepare() is deterministic, so the snapshot's
+// design matches the one the fork just prepared.
+std::unique_ptr<mls::DesignFlow> warm_fork(const DesignDB::Snapshot& warm) {
+  auto fork = std::make_unique<mls::DesignFlow>(netlist::make_maeri_16pe(), flow_config());
+  fork->db().restore(warm);
+  return fork;
+}
+
+// Seeded MLS decision vector with ~6% of nets flagged.
+std::vector<std::uint8_t> seeded_flags(std::size_t nets, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> flags(nets, 0);
+  for (std::uint8_t& f : flags) f = (rng.next_u64() & 0xF) == 0 ? 1 : 0;
+  return flags;
+}
+
+// Seeded buffer-pair splice behind a driven net (the ECO idiom of
+// test_incremental.cpp); the next evaluate repairs it incrementally.
+void seeded_eco(netlist::Netlist& nl, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Id> driven;
+  for (Id n = 0; n < nl.num_nets(); ++n)
+    if (nl.net(n).driver != netlist::kNullId) driven.push_back(n);
+  const Id tapped = driven[rng.next_u64() % driven.size()];
+  const auto coord = [&rng] { return 40.0f + static_cast<float>(rng.next_u64() % 240); };
+  const Id b1 = nl.add_cell(tech::CellKind::kBuf, 0, coord(), coord());
+  const Id b2 = nl.add_cell(tech::CellKind::kBuf, 0, coord(), coord());
+  nl.add_sink(tapped, nl.input_pin(b1, 0));
+  nl.connect(b1, 0, b2, 0);
+}
+
+// Fork `stream` runs three seeded rounds on its own flow: a flag flip each
+// round, plus an ECO in round 1 on even streams. Returns the final state
+// fingerprint.
+std::uint64_t run_stream(const DesignDB::Snapshot& warm, int stream) {
+  const std::unique_ptr<mls::DesignFlow> fork = warm_fork(warm);
+  for (int round = 0; round < 3; ++round) {
+    if (round == 1 && stream % 2 == 0)
+      seeded_eco(fork->db().design().nl, 500 + static_cast<std::uint64_t>(stream));
+    const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(round * 8 + stream);
+    fork->evaluate(seeded_flags(fork->design().nl.num_nets(), seed), mls::Strategy::kSota);
+  }
+  return fork->db().state_fingerprint();
+}
+
+TEST(FlowFork, SnapshotCounterWatermarkCoversRestoredRevisions) {
+  // The cross-DB restore must advance the fork's revision counter past the
+  // snapshot's: a later commit may never reissue a revision number the
+  // restored tags already hold (a stale stage could alias a fresh built_from
+  // link and be skipped as fresh).
+  util::set_log_level(util::LogLevel::kError);
+  const DesignDB::Snapshot warm = warm_baseline();
+  std::uint64_t max_rev = 0;
+  for (const core::StageTag& t : warm.tags) max_rev = std::max(max_rev, t.revision);
+  EXPECT_GT(max_rev, 0u);
+  EXPECT_GE(warm.counter, max_rev);
+
+  const std::unique_ptr<mls::DesignFlow> fork = warm_fork(warm);
+  const std::uint64_t fp_fork = fork->db().state_fingerprint();
+  fork->evaluate(seeded_flags(fork->design().nl.num_nets(), 42), mls::Strategy::kSota);
+  // The re-route committed under a revision newer than anything restored,
+  // and the fork moved to a state distinct from the warm baseline.
+  EXPECT_GT(fork->db().tag(Stage::kRoutes).revision, max_rev);
+  EXPECT_NE(fork->db().state_fingerprint(), fp_fork);
+}
+
+TEST(FlowFork, ConcurrentForksMatchSerialTwins) {
+  // N threads each fork a private flow from one shared snapshot and run a
+  // distinct seeded mutate/evaluate stream at the same time. Each live
+  // fingerprint must equal the one its stream reaches alone.
+  util::set_log_level(util::LogLevel::kError);
+  const DesignDB::Snapshot warm = warm_baseline();
+  constexpr int kForks = 3;
+  std::vector<std::uint64_t> live(kForks, 0);
+  std::vector<std::string> errors(kForks);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kForks; ++i)
+    threads.emplace_back([&, i] {
+      try {
+        live[i] = run_stream(warm, i);
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  for (int i = 0; i < kForks; ++i) {
+    ASSERT_EQ(errors[i], "") << "stream " << i;
+    EXPECT_EQ(run_stream(warm, i), live[i]) << "stream " << i;
+  }
+  // Distinct streams must land on distinct states (the twin check would be
+  // vacuous if every fork converged to one fingerprint).
+  EXPECT_NE(live[0], live[1]);
+  EXPECT_NE(live[1], live[2]);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,8 +15,10 @@
 #include "flow/executor.hpp"
 #include "flow/pass_manager.hpp"
 #include "flow/registry.hpp"
+#include "ft/policy.hpp"
 #include "mls/flow.hpp"
 #include "netlist/generators.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -269,15 +274,84 @@ TEST(Executor, PropagatesTaskExceptions) {
   EXPECT_THROW(flow::Executor(1).run(tasks), std::runtime_error);
 }
 
+// Reads a knob through the accessor its owner uses, rendered as text.
+std::string read_knob(util::env::Knob knob) {
+  using util::env::Knob;
+  const auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return std::string(buf);
+  };
+  switch (knob) {
+    case Knob::kThreads: return num(flow::Executor::threads_from_env());
+    case Knob::kAudit: return num(flow::PassManager::audit_enabled(mls::FlowConfig{}));
+    case Knob::kFt: return num(ft::resolve({}).transactional);
+    case Knob::kMaxRetries: return num(ft::resolve({}).max_retries);
+    case Knob::kBackoffMs: return num(ft::resolve({}).backoff_base_ms);
+    case Knob::kPassBudgetS: return num(ft::resolve({}).pass_budget_s);
+    case Knob::kGitRev: return util::env::git_rev();
+    default: return util::env::str(knob);
+  }
+}
+
 TEST(Executor, ClampsThreadCountFromEnv) {
-  ::setenv("GNNMLS_THREADS", "0", 1);
-  EXPECT_EQ(flow::Executor::threads_from_env(), 1);
-  ::setenv("GNNMLS_THREADS", "7", 1);
-  EXPECT_EQ(flow::Executor::threads_from_env(), 7);
-  ::setenv("GNNMLS_THREADS", "4096", 1);
-  EXPECT_EQ(flow::Executor::threads_from_env(), 64);
+  // Table-driven over every util/env knob: unset gives the default, a valid
+  // value parses, and a malformed or out-of-range value falls back or clamps.
+  using util::env::Knob;
+  struct Case {
+    Knob knob;
+    const char* value;  // nullptr = unset
+    const char* want;
+  };
+  const Case cases[] = {
+      {Knob::kThreads, nullptr, "1"},       {Knob::kThreads, "7", "7"},
+      {Knob::kThreads, "0", "1"},           {Knob::kThreads, "4096", "64"},
+      {Knob::kThreads, "abc", "1"},         {Knob::kThreads, "", "1"},
+      {Knob::kAudit, nullptr, "0"},         {Knob::kAudit, "1", "1"},
+      {Knob::kAudit, "on", "1"},            {Knob::kAudit, "off", "0"},
+      {Knob::kAudit, "0", "0"},             {Knob::kAudit, "", "0"},
+      {Knob::kFt, nullptr, "1"},            {Knob::kFt, "off", "0"},
+      {Knob::kFt, "0", "0"},                {Knob::kFt, "", "1"},
+      {Knob::kMaxRetries, nullptr, "2"},    {Knob::kMaxRetries, "5", "5"},
+      {Knob::kMaxRetries, "-1", "2"},       {Knob::kMaxRetries, "abc", "0"},
+      {Knob::kBackoffMs, nullptr, "0"},     {Knob::kBackoffMs, "2.5", "2.5"},
+      {Knob::kBackoffMs, "-3", "0"},        {Knob::kBackoffMs, "nan", "0"},
+      {Knob::kPassBudgetS, nullptr, "0"},   {Knob::kPassBudgetS, "0.25", "0.25"},
+      {Knob::kPassBudgetS, "-1", "0"},      {Knob::kFault, nullptr, ""},
+      {Knob::kFault, "sta.run:2", "sta.run:2"},
+      {Knob::kFlightOut, nullptr, "flight_recorder.json"},
+      {Knob::kFlightOut, "x.json", "x.json"}, {Knob::kFlightOut, "", ""},
+      {Knob::kTrace, nullptr, ""},          {Knob::kTrace, "t.json", "t.json"},
+      {Knob::kLogLevel, nullptr, "info"},   {Knob::kLogLevel, "warn", "warn"},
+      {Knob::kSimd, nullptr, ""},           {Knob::kSimd, "scalar", "scalar"},
+      {Knob::kGitRev, nullptr, "unknown"},  {Knob::kGitRev, "abc123", "abc123"},
+      {Knob::kGitRev, "", "unknown"},
+  };
+
+  // Run with every knob unset; put the caller's environment back after.
+  const std::span<const util::env::KnobInfo> knobs = util::env::knobs();
+  ASSERT_EQ(knobs.size(), 12u);
+  std::vector<std::optional<std::string>> saved;
+  for (const util::env::KnobInfo& k : knobs) {
+    saved.push_back(util::env::value(k.knob));
+    ::unsetenv(k.name);
+  }
+  EXPECT_EQ(util::env::effective_env(), "(none)");
+  std::vector<bool> covered(knobs.size(), false);
+  for (const Case& c : cases) {
+    const char* name = util::env::info(c.knob).name;
+    covered[static_cast<std::size_t>(c.knob)] = true;
+    if (c.value != nullptr) ::setenv(name, c.value, 1);
+    EXPECT_EQ(read_knob(c.knob), c.want) << name << "=" << (c.value ? c.value : "(unset)");
+    ::unsetenv(name);
+  }
+  for (std::size_t i = 0; i < knobs.size(); ++i) EXPECT_TRUE(covered[i]) << knobs[i].name;
+
+  ::setenv("GNNMLS_THREADS", "4", 1);
+  EXPECT_EQ(util::env::effective_env(), "GNNMLS_THREADS=4");
   ::unsetenv("GNNMLS_THREADS");
-  EXPECT_EQ(flow::Executor::threads_from_env(), 1);
+  for (std::size_t i = 0; i < knobs.size(); ++i)
+    if (saved[i]) ::setenv(knobs[i].name, saved[i]->c_str(), 1);
 }
 
 }  // namespace

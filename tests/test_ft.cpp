@@ -90,26 +90,6 @@ TEST(FlowErrorTaxonomy, WrapClassifiesStandardExceptions) {
   EXPECT_NE(std::string(run.what()).find("boom"), std::string::npos);
 }
 
-TEST(FlowErrorTaxonomy, ServiceCodesHaveStableNamesAndRetryability) {
-  // Wire clients key on these strings; pin them (src/svc/ admission answers).
-  EXPECT_EQ(std::string(ft::to_string(ft::ErrorCode::kAdmissionRejected)), "admission-rejected");
-  EXPECT_EQ(std::string(ft::to_string(ft::ErrorCode::kSessionQuarantined)),
-            "session-quarantined");
-  EXPECT_EQ(std::string(ft::to_string(ft::ErrorCode::kShuttingDown)), "shutting-down");
-
-  // Admission rejection is backpressure: retrying later is the contract.
-  const ft::FlowError shed(ft::ErrorCode::kAdmissionRejected, "svc", "", 0,
-                           /*retryable=*/true, "queue full");
-  EXPECT_TRUE(shed.retryable());
-  // Quarantine and shutdown are terminal for this session/instance.
-  const ft::FlowError q(ft::ErrorCode::kSessionQuarantined, "svc", "", 0,
-                        /*retryable=*/false, "over budget");
-  EXPECT_FALSE(q.retryable());
-  const ft::FlowError down(ft::ErrorCode::kShuttingDown, "svc", "", 0,
-                           /*retryable=*/false, "draining");
-  EXPECT_FALSE(down.retryable());
-}
-
 TEST(FlowErrorTaxonomy, WrapPassesNestedFlowErrorsThrough) {
   // Thrown with blank pass/stage (the fault plan does this): the boundary
   // context fills in, code and retryability survive.
@@ -186,20 +166,18 @@ TEST_F(Ft, UnknownSiteErrorListsEveryValidSite) {
   // GNNMLS_FAULT / --inject-flow typos must come back with the full menu,
   // not a bare "unknown site" (satellite: operator-debuggable chaos specs).
   try {
-    ft::FaultPlan::instance().arm("svc.amit");  // typo'd svc.admit
+    ft::FaultPlan::instance().arm("route.comit");  // typo'd route.commit
     FAIL() << "unknown site must throw";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown fault site: svc.amit"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unknown fault site: route.comit"), std::string::npos) << msg;
     EXPECT_NE(msg.find("valid sites:"), std::string::npos) << msg;
-    // A few anchors spanning the table: first entry, a mid-table classic,
-    // and the new service-layer sites.
+    // Anchors spanning the table: first entry, the intended site, a
+    // mid-table classic, and the last entry.
     EXPECT_NE(msg.find("route.net"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("route.commit"), std::string::npos) << msg;
     EXPECT_NE(msg.find("sta.run"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.admit"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.fork"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.request"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.quarantine"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("decide.infer"), std::string::npos) << msg;
   }
 }
 

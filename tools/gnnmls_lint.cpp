@@ -15,7 +15,6 @@
 //   $ gnnmls_lint --design maeri16 --profile --trace-out trace.json
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <memory>
@@ -31,6 +30,7 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 using namespace gnnmls;
@@ -66,8 +66,8 @@ void usage(std::FILE* to) {
                "                   diff observed vs declared stage accesses (AU-10x)\n"
                "  --only=P1,P2     run only the named flow passes (canonical order) instead\n"
                "                   of the full pipeline; see --list-passes for names\n"
-               "  --profile        trace the flow; print the span profile table and\n"
-               "                   the metrics ledger after the report\n"
+               "  --profile        trace the flow; print the effective env, the span\n"
+               "                   profile table and the metrics ledger after the report\n"
                "  --trace-out F    write a Chrome trace-event JSON (chrome://tracing)\n"
                "                   of the flow to F (implies tracing)\n"
                "  --metrics-out F  dump the end-of-run obs::Metrics snapshot (counters,\n"
@@ -75,14 +75,10 @@ void usage(std::FILE* to) {
                "  --ledger F       append one schema-versioned perf-ledger record (JSONL)\n"
                "                   for this run to F; diff runs with gnnmls_report\n"
                "  --verbose        flow progress on stderr\n"
-               "env: GNNMLS_TRACE=F traces any run; GNNMLS_LOG_LEVEL sets verbosity;\n"
-               "     GNNMLS_FAULT=S[:n][,...] arms fault sites like --inject-flow;\n"
-               "     GNNMLS_FT=off disables transactional recovery; GNNMLS_MAX_RETRIES,\n"
-               "     GNNMLS_BACKOFF_MS, GNNMLS_PASS_BUDGET_S tune the retry policy;\n"
-               "     GNNMLS_AUDIT=1 enables the contract audit like --audit;\n"
-               "     GNNMLS_LEDGER=F appends a ledger record like --ledger;\n"
-               "     GNNMLS_GIT_REV stamps ledger records with the git revision;\n"
-               "     GNNMLS_FLIGHT_OUT=F|off sets the flight-recorder dump path\n");
+               "env (default in brackets):\n");
+  for (const util::env::KnobInfo& k : util::env::knobs())
+    std::fprintf(to, "  %-21s %s [%s]\n", k.name, k.help,
+                 *k.default_value != '\0' ? k.default_value : "unset");
 }
 
 netlist::Design make_design(const std::string& name, std::uint64_t seed) {
@@ -194,7 +190,6 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string metrics_out;
   std::string ledger_path;
-  if (const char* env = std::getenv("GNNMLS_LEDGER"); env && *env) ledger_path = env;
   std::vector<std::string> only;
   std::uint64_t seed = 0;
   bool hetero = true, run_pdn = true, with_dft = false, verbose = false, profile = false;
@@ -448,6 +443,7 @@ int main(int argc, char** argv) {
   std::fputs(report.render().c_str(), stdout);
 
   if (profile) {
+    std::printf("\neffective env: %s\n", util::env::effective_env().c_str());
     std::printf("\nspan profile:\n%s", obs::Tracer::instance().profile_table().c_str());
     std::printf("\nmetrics:\n%s", obs::Metrics::instance().table().c_str());
   }

@@ -24,7 +24,6 @@
 //       span name present.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "obs/ledger.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -65,8 +65,7 @@ bool bench_to_record(const Json& root, const std::string& label, LedgerRecord& o
   out = LedgerRecord{};
   out.kind = "bench";
   out.label = label;
-  const char* rev = std::getenv("GNNMLS_GIT_REV");  // NOLINT(concurrency-mt-unsafe)
-  out.rev = (rev && *rev) ? rev : "unknown";
+  out.rev = gnnmls::util::env::git_rev();
   for (const Json& b : benches->items) {
     if (b.kind != Json::kObject) continue;
     const std::string name(b.str_or("name", ""));
@@ -307,72 +306,6 @@ int cmd_check_ml(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_check_svc(const std::vector<std::string>& args) {
-  if (args.size() != 1) {
-    std::fprintf(stderr, "usage: gnnmls_report check-svc BENCH_svc.json\n");
-    return 2;
-  }
-  std::string text;
-  Json root;
-  if (!read_file(args[0], text) || !gnnmls::util::parse_json(text, root)) {
-    std::fprintf(stderr, "gnnmls_report: cannot parse %s\n", args[0].c_str());
-    return 2;
-  }
-  const Json* benches = root.find("benchmarks");
-  if (!benches || benches->kind != Json::kArray) {
-    std::fprintf(stderr, "gnnmls_report: %s has no benchmarks\n", args[0].c_str());
-    return 2;
-  }
-  const Json* row = nullptr;
-  for (const Json& b : benches->items)
-    if (b.kind == Json::kObject && b.str_or("name", "") == "SVC_Stress") row = &b;
-  if (!row) {
-    std::fprintf(stderr, "gnnmls_report: missing SVC_Stress row\n");
-    return 2;
-  }
-  // Throughput floor: deliberately generous (slow CI runners, sanitizer
-  // builds) — this catches order-of-magnitude service regressions, the
-  // ledger diff catches creep.
-  const double sessions_per_s = row->num_or("sessions_per_s", 0.0);
-  if (sessions_per_s < 0.02) {
-    std::fprintf(stderr, "svc gate FAILED: %.4f sessions/s (< 0.02)\n", sessions_per_s);
-    return 1;
-  }
-  const double requests_per_s = row->num_or("requests_per_s", 0.0);
-  if (requests_per_s <= 0.0) {
-    std::fprintf(stderr, "svc gate FAILED: requests/s not positive\n");
-    return 1;
-  }
-  // Admission accounting: every submitted request must be accounted for as
-  // executed, shed after admission, or rejected at admission — a leak here
-  // means a request vanished (blocked or dropped without a structured
-  // answer).
-  const double submitted = row->num_or("submitted", -1.0);
-  const double executed = row->num_or("executed", -1.0);
-  const double shed = row->num_or("shed", -1.0);
-  const double rejected = row->num_or("rejected", -1.0);
-  if (submitted < 0 || executed < 0 || shed < 0 || rejected < 0) {
-    std::fprintf(stderr, "svc gate FAILED: missing accounting fields\n");
-    return 2;
-  }
-  if (submitted != executed + shed + rejected) {
-    std::fprintf(stderr,
-                 "svc gate FAILED: accounting leak: submitted %.0f != executed %.0f + "
-                 "shed %.0f + rejected %.0f\n",
-                 submitted, executed, shed, rejected);
-    return 1;
-  }
-  const double contaminated = row->num_or("contaminated", -1.0);
-  if (contaminated != 0.0) {
-    std::fprintf(stderr, "svc gate FAILED: %.0f contaminated session(s)\n", contaminated);
-    return 1;
-  }
-  std::printf("svc gate OK: %.3f sessions/s, %.3f requests/s, %.0f submitted = %.0f executed "
-              "+ %.0f shed + %.0f rejected\n",
-              sessions_per_s, requests_per_s, submitted, executed, shed, rejected);
-  return 0;
-}
-
 int cmd_check_trace(const std::vector<std::string>& args) {
   std::string path;
   std::vector<std::string> required;
@@ -430,7 +363,7 @@ int cmd_check_trace(const std::vector<std::string>& args) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: gnnmls_report diff|ingest|check-routing|check-ml|check-svc|check-trace ... "
+                 "usage: gnnmls_report diff|ingest|check-routing|check-ml|check-trace ... "
                  "(see the header comment)\n");
     return 2;
   }
@@ -440,7 +373,6 @@ int main(int argc, char** argv) {
   if (cmd == "ingest") return cmd_ingest(args);
   if (cmd == "check-routing") return cmd_check_routing(args);
   if (cmd == "check-ml") return cmd_check_ml(args);
-  if (cmd == "check-svc") return cmd_check_svc(args);
   if (cmd == "check-trace") return cmd_check_trace(args);
   std::fprintf(stderr, "gnnmls_report: unknown command '%s'\n", cmd.c_str());
   return 2;
