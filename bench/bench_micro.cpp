@@ -54,15 +54,15 @@ void BM_RouteAll(benchmark::State& st) {
 }
 BENCHMARK(BM_RouteAll)->Unit(benchmark::kMillisecond);
 
-// The two routing engines head to head: ci.sh's perf-smoke reads these rows
-// out of BENCH_routing.json and gates (a) the negotiated engine's multi-core
-// nets/s win over serial (hosts with >= 4 cores) and (b) equal-or-better
-// final overflow. The serial row is the single-pass legacy engine; the
-// negotiated rows sweep GNNMLS_THREADS over the sharded engine.
+// The initial route alone vs the full engine: ci.sh's perf-smoke reads these
+// rows out of BENCH_routing.json and gates (a) negotiation's multi-core nets/s
+// scaling (hosts with >= 4 cores) and (b) equal-or-better final overflow.
+// The serial row is the in-order initial route (max_negotiation_iters = 0);
+// the negotiated rows sweep GNNMLS_THREADS over the full two-phase engine.
 void BM_RouteSerial(benchmark::State& st) {
   auto& f = *state().flow;
   route::RouterOptions opt;
-  opt.negotiate = false;
+  opt.max_negotiation_iters = 0;
   route::Router router(f.design(), f.tech(), opt);
   std::size_t overflow = 0;
   for (auto _ : st) {

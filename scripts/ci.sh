@@ -44,13 +44,16 @@ rm -f PERF_LEDGER.jsonl
 
 echo "==> lint matrix: paper designs x strategies x stacks must lint clean"
 # Every paper design under every MLS strategy, heterogeneous and --homo
-# (about 1.5 s a cell). Five cells still fail the checker today and are left
+# (about 1.5 s a cell). Four cells still fail the checker today and are left
 # out until ROADMAP item 2 fixes them; no rule severity is lowered:
 #   a7-dual hetero, none/sota/gnn: 8x PDN-002 (a tier-1 net drives a BUF
 #     without a level shifter), plus RT-002 under gnn;
-#   a7-dual gnn --homo and a7-single gnn --homo: RT-002 (shared segments
-#     below the legal shared pairs).
-lint_red=" a7-dual/none/hetero a7-dual/sota/hetero a7-dual/gnn/hetero a7-dual/gnn/homo a7-single/gnn/homo "
+#   a7-single gnn --homo: RT-002 (shared segments below the legal shared
+#     pairs).
+# a7-dual gnn --homo lints clean since routing starts from the in-order
+# route, but RT-002's root cause (ROADMAP item 2) is not fixed there, only
+# no longer triggered.
+lint_red=" a7-dual/none/hetero a7-dual/sota/hetero a7-dual/gnn/hetero a7-single/gnn/homo "
 for design in maeri128 maeri256 a7-single a7-dual; do
   for strategy in none sota gnn; do
     for stack in hetero homo; do
@@ -179,9 +182,10 @@ echo "==> perf smoke: incremental-ECO + per-stage microbenchmarks on MAERI-16PE"
   --benchmark_out=BENCH_incremental.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
 
-echo "==> perf smoke: routing engines (serial vs sharded negotiated, BENCH_routing.json)"
-# BM_RouteSerial is the legacy single-pass engine; BM_RouteNegotiated/{1,2,4}
-# is the sharded three-phase engine under that GNNMLS_THREADS count. Both
+echo "==> perf smoke: routing (initial route vs negotiated, BENCH_routing.json)"
+# BM_RouteSerial is the in-order initial route alone (max_negotiation_iters
+# = 0); BM_RouteNegotiated/{1,2,4} is the full two-phase engine under that
+# GNNMLS_THREADS count. Both
 # export nets/s and the post-route overflow census, so BENCH_routing.json
 # carries quality next to throughput run over run.
 ./build/bench/bench_micro \
@@ -264,7 +268,7 @@ echo "ledger gate OK"
 
 echo "==> determinism gate: state fingerprint identical across GNNMLS_THREADS=1/2/4"
 # End-to-end thread-sweep over the full flow (route -> STA -> power): the
-# sharded router speculates in parallel but commits serially in a fixed
+# router's negotiation reroutes in parallel but commits serially in a fixed
 # order, so the DB fingerprint gnnmls_lint prints must not move with the
 # worker count. Any drift here is a scheduling leak into routing results.
 fp_sweep=""
@@ -297,7 +301,7 @@ if [[ "${FAST}" == "0" ]]; then
   echo "==> tsan: -fsanitize=thread build + parallel-wave suites (build-tsan/)"
   # Thread sanitizer over the code that actually runs multi-threaded: the
   # pass-manager/executor suites, the fault-injection recovery loop, the
-  # access-audit recorder, the sharded router's speculative edge tasks, and
+  # access-audit recorder, the router's parallel negotiation reroutes, and
   # concurrent warm forks of private flows, each forced to 4 worker threads
   # so waves really interleave, plus the chaos sweep end to end. (A full ctest run under TSan is ~10x wall
   # clock; these binaries cover every concurrent path.)

@@ -65,7 +65,7 @@ class RoutingGrid {
   void add_usage_at(std::size_t i, float amount) { use_[i] += amount; }
   void add_f2f_at(std::size_t i, float amount) { f2f_use_[i] += amount; }
   // Flat cell counts, sizing the negotiation history surface and the
-  // per-plane overflow masks (route/shard.hpp, route/negotiate.hpp).
+  // per-plane overflow masks (route/negotiate.cpp).
   std::size_t num_track_cells() const { return use_.size(); }
   std::size_t num_f2f_cells() const { return f2f_use_.size(); }
 

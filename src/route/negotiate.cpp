@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "flow/executor.hpp"
-#include "ft/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -19,7 +18,6 @@ struct NegCounters {
   obs::Counter& iters = obs::Metrics::instance().counter("route.negotiation_iters");
   obs::Counter& ripups = obs::Metrics::instance().counter("route.ripups");
   obs::Counter& reverts = obs::Metrics::instance().counter("route.negotiation_reverts");
-  obs::Counter& shards = obs::Metrics::instance().counter("route.shards_routed");
   obs::Counter& repairs = obs::Metrics::instance().counter("route.commit_repairs");
   static NegCounters& get() {
     static NegCounters c;
@@ -33,7 +31,8 @@ struct NegCounters {
 // on NEAR-full cells also get a fresh live decision — the congestion
 // penalty in the cost model only spreads load if the router sees the live
 // usage, and parallel workers all see the same frozen snapshot. Without
-// this check every edge in a shard piles onto the same cheapest layer pair.
+// this check every victim of an iteration piles onto the same cheapest
+// layer pair.
 bool would_stress(const RoutingGrid& grid, const EdgeRoute& er, float frac) {
   if (!er.routed) return false;
   const int tier = er.route_tier;
@@ -54,14 +53,14 @@ bool would_stress(const RoutingGrid& grid, const EdgeRoute& er, float frac) {
 // Serially commits the speculative results for `idxs`, reroute-on-conflict:
 // an edge whose speculative choice no longer fits the live grid is rerouted
 // right here against the live congestion (the Gauss-Seidel feedback the
-// serial engine gets for free). Commit order is the deterministic bucket
-// order and the live grid evolves deterministically with it, so the outcome
-// is independent of how the speculative routing was threaded.
+// in-order initial route gets for free). Commit order is the deterministic
+// edge order and the live grid evolves deterministically with it, so the
+// outcome is independent of how the speculative routing was threaded.
 // Speculative picks touching cells above this fraction of capacity are
 // rerouted live at commit. 1.0 would repair only outright overflow;
-// repairing a little early keeps the packing quality of the serial engine
-// in regions that are filling up, at the cost of a few extra serial
-// reroutes (the route.commit_repairs counter tracks how many).
+// repairing a little early keeps in-order packing quality in regions that
+// are filling up, at the cost of a few extra serial reroutes (the
+// route.commit_repairs counter tracks how many).
 constexpr float kRepairFraction = 0.75f;
 
 void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> idxs,
@@ -73,9 +72,9 @@ void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> i
     // Repair when the live grid disagrees with the speculation: the pick
     // crowds a (near-)full live cell, or it was already squeezing through
     // overfull cells at snapshot time (then the live state deserves a fresh
-    // decision — this is what keeps congested regions at serial-engine
-    // quality while uncontended regions keep their parallel speculative
-    // result untouched).
+    // decision — this is what keeps congested regions at in-order quality
+    // while uncontended regions keep their parallel speculative result
+    // untouched).
     if (would_stress(in.grid, er, kRepairFraction) || er.overflow >= 1.0f) {
       static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
       const auto t0 = std::chrono::steady_clock::now();
@@ -127,6 +126,45 @@ void route_tasks(const flow::Executor& ex, const NegotiationInput& in,
   ex.run(tasks);
 }
 
+// Marks a (2*halo+1)^2 box around (x, y) in one plane of `mask`.
+void mark_box(std::vector<std::uint8_t>& mask, std::size_t plane_base, int nx, int ny, int x,
+              int y, int halo) {
+  const int xs = std::max(0, x - halo), xe = std::min(nx - 1, x + halo);
+  const int ys = std::max(0, y - halo), ye = std::min(ny - 1, y + halo);
+  for (int yy = ys; yy <= ye; ++yy)
+    for (int xx = xs; xx <= xe; ++xx)
+      mask[plane_base + static_cast<std::size_t>(yy * nx + xx)] = 1;
+}
+
+// Per-track-cell overflow mask (1 = usage exceeds capacity somewhere within
+// `halo` gcells on the same tier/layer plane). The dilation widens rip-up
+// past the direct offenders: an edge committed next to an overflowed range
+// is a victim even if its own cells still fit.
+std::vector<std::uint8_t> overflow_mask(const RoutingGrid& grid, int halo) {
+  std::vector<std::uint8_t> mask(grid.num_track_cells(), 0);
+  const int nx = grid.nx(), ny = grid.ny();
+  for (int tier = 0; tier < 2; ++tier) {
+    for (int layer = 0; layer < grid.num_layers(tier); ++layer) {
+      const std::size_t plane_base = grid.track_index(tier, layer, 0, 0);
+      for (int y = 0; y < ny; ++y)
+        for (int x = 0; x < nx; ++x)
+          if (grid.usage(tier, layer, x, y) > grid.capacity(tier, layer, x, y))
+            mark_box(mask, plane_base, nx, ny, x, y, halo);
+    }
+  }
+  return mask;
+}
+
+// Same for the per-gcell F2F bond-pad resource.
+std::vector<std::uint8_t> f2f_overflow_mask(const RoutingGrid& grid, int halo) {
+  std::vector<std::uint8_t> mask(grid.num_f2f_cells(), 0);
+  const int nx = grid.nx(), ny = grid.ny();
+  for (int y = 0; y < ny; ++y)
+    for (int x = 0; x < nx; ++x)
+      if (grid.f2f_usage(x, y) > grid.f2f_capacity()) mark_box(mask, 0, nx, ny, x, y, halo);
+  return mask;
+}
+
 // Total overflow cells (tracks + F2F pads): the quantity negotiation
 // minimizes. Ties break on max congestion so a strictly flatter state with
 // the same cell count still counts as progress.
@@ -141,43 +179,24 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
   const RouterOptions& opt = in.options;
   const flow::Executor ex(flow::Executor::threads_from_env());
   const auto t0 = std::chrono::steady_clock::now();
-  auto check_budget = [&](const char* where) {
-    if (opt.negotiation_budget_s <= 0.0) return;
-    const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (elapsed > opt.negotiation_budget_s) {
-      throw ft::FlowError(ft::ErrorCode::kTimeout, "route", "routes", 0, /*retryable=*/true,
-                          std::string(where) + " exceeded the negotiation budget of " +
-                              std::to_string(opt.negotiation_budget_s) + " s");
-    }
+  auto budget_spent = [&] {
+    return opt.negotiation_budget_s > 0.0 &&
+           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() >
+               opt.negotiation_budget_s;
   };
 
-  // ---- phase 1: sharded initial routing -----------------------------------
-  {
-    GNNMLS_SPAN("route.shards");
-    const ShardMap shards(in.grid.nx(), in.grid.ny(), opt.shard_gcells);
-    const auto buckets = bucket_edges(shards, in.grid, in.edges);
-    std::vector<EdgeRoute> results;
-    std::uint64_t shards_routed = 0, repairs = 0;
-    for (const std::vector<std::uint32_t>& bucket : buckets) {
-      if (bucket.empty()) continue;
-      GNNMLS_SPAN("route.shard");
-      ++shards_routed;
-      route_tasks(ex, in, bucket, results);
-      commit_results(in, bucket, results, &repairs);
-      check_budget("sharded initial routing");
-    }
-    NegCounters::get().shards.add(shards_routed);
-    NegCounters::get().repairs.add(repairs);
-  }
-
-  // ---- phase 2: negotiation loop ------------------------------------------
   RoutingGrid::Census census = in.grid.census();
   stats.initial_overflow = census.overflow_gcells + census.f2f_overflow_gcells;
   int stagnant = 0;
   std::vector<EdgeRoute> results;
   for (int iter = 0; iter < opt.max_negotiation_iters; ++iter) {
     if (census_key(census).first == 0) break;
-    check_budget("negotiation");
+    // The budget only ever cuts the loop between iterations, where the
+    // state is the initial route or a not-worse successor.
+    if (budget_spent()) {
+      stats.budget_exhausted = true;
+      break;
+    }
     GNNMLS_SPAN("route.negotiate.iter");
 
     // History bump: every overflowed track cell gets more expensive for the
@@ -230,8 +249,8 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
     }
 
     // Reroute all victims Jacobi-style against the frozen post-rip-up grid
-    // and the updated history, then commit serially in edge order with the
-    // same reroute-on-conflict rule as the initial phase.
+    // and the updated history, then commit serially in edge order with
+    // reroute-on-conflict.
     route_tasks(ex, in, victims, results);
     std::uint64_t repairs = 0;
     commit_results(in, victims, results, &repairs);

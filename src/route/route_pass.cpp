@@ -22,33 +22,10 @@ void RoutePass::run(flow::PassContext& ctx) {
   Router& router = db.router(ctx.config.router);
   const std::vector<std::uint8_t>& flags = db.mls_flags();
 
-  // Full route with the ft degradation ladder: if the negotiated engine
-  // overruns its cooperative watchdog budget (retryable kTimeout), fall back
-  // to the serial single-pass router — always well-defined, just slower and
-  // without congestion negotiation — and flag the row. Any other failure
-  // (injected faults, broken invariants) propagates for the wave-level
-  // rollback/retry machinery.
-  auto degraded_full_route = [&]() -> RouteSummary {
-    try {
-      return router.route_all(flags);
-    } catch (const ft::FlowError& e) {
-      if (e.code() != ft::ErrorCode::kTimeout) throw;
-      util::log_warn("route pass: negotiation budget overrun (", e.what(),
-                     "); degrading to the serial router");
-      static obs::Counter& degraded = obs::Metrics::instance().counter("ft.degraded");
-      degraded.add(1);
-      ctx.metrics.degraded = true;
-      obs::FlightRecorder::instance().record(obs::EventKind::kDegrade, "route.serial",
-                                             static_cast<std::uint64_t>(e.code()));
-      ft::dump_black_box({e}, 0, 0, "route pass degraded to the serial router");
-      return router.route_all_serial(flags);
-    }
-  };
-
   RouteSummary rs;
   bool incremental = false;
   if (router.routed_revision() == 0) {
-    rs = degraded_full_route();
+    rs = router.route_all(flags);
   } else if (db.design().nl.revision() != router.routed_revision()) {
     // The netlist moved (ECO): minimal rip-up of the dirty nets, keeping the
     // surviving grid state. Nets added since the last route are implicitly
@@ -72,14 +49,26 @@ void RoutePass::run(flow::PassContext& ctx) {
       incremental = false;
     }
   } else if (db.dirty()) {
-    // Same netlist, local changes (flag flips, touched pins): suffix replay,
-    // bit-exact with a from-scratch route_all under the new flags.
+    // Same netlist, local changes (flag flips, touched pins): replay, a
+    // from-scratch route_all under the new flags plus the exact value diff.
     const std::vector<netlist::Id> dirty = db.take_dirty_nets();
     rs = router.reroute_nets(dirty, flags, RerouteMode::kReplay);
     incremental = true;
   } else {
     // Stage invalidated outright with nothing dirty: route from scratch.
     rs = router.route_all(flags);
+  }
+  // Negotiation that overran its watchdog budget stopped early on a legal
+  // state (the in-order initial route or a no-worse successor): keep the
+  // result and flag the row.
+  if (rs.budget_exhausted) {
+    util::log_warn("route pass: negotiation budget of ", ctx.config.router.negotiation_budget_s,
+                   " s spent after ", rs.negotiation_iters, " iteration(s); keeping that route");
+    static obs::Counter& degraded = obs::Metrics::instance().counter("ft.degraded");
+    degraded.add(1);
+    ctx.metrics.degraded = true;
+    obs::FlightRecorder::instance().record(obs::EventKind::kDegrade, "route.negotiation_budget",
+                                           static_cast<std::uint64_t>(ft::ErrorCode::kTimeout));
   }
   GNNMLS_FAULT_POINT("route.commit");
   db.set_route_summary(rs, incremental);

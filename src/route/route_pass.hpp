@@ -4,7 +4,7 @@
 // ECO story lives entirely in run()'s dispatch: a never-routed design gets
 // route_all, a netlist that moved since the last route gets a minimal-
 // rip-up ECO over the dirty set, and a same-netlist change (an MLS flag
-// flip, a touched pin) gets a bit-exact suffix replay. Callers never pick a
+// flip, a touched pin) gets a bit-exact replay. Callers never pick a
 // mode. The kPlacement write is absorb_journal()'s placement re-commit when
 // an external ECO left journal entries pending (mutators place their own
 // cells); the contract audit flagged the old {routes}-only declaration.

@@ -1,6 +1,7 @@
 #include "route/router.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -65,15 +66,23 @@ struct EdgeTally {
   }
 };
 
-// Appends the per-edge value diff of one net to `out`. Edges present on only
-// one side (topology grew or shrank) count as changed.
-void diff_edges(Id net, const std::vector<EdgeRoute>& before,
-                const std::vector<EdgeRoute>& after, std::vector<EdgeRef>& out) {
-  const std::size_t n = std::max(before.size(), after.size());
-  for (std::size_t e = 0; e < n; ++e) {
-    const bool changed = e >= before.size() || e >= after.size() || !(before[e] == after[e]);
-    if (changed) out.push_back(EdgeRef{net, static_cast<std::uint32_t>(e)});
-  }
+// Appends one net's value diff to the summary's delta lists. Every edge
+// that moved is listed; edges present on only one side (topology grew or
+// shrank) count as moved. The net is listed iff its electrical value moved
+// OR any of its edges did: an edge can move between equal-cost cells
+// without shifting the net totals, but its grid footprint still changed, so
+// the changed_edges ⊆ changed_nets contract must count the net.
+void diff_net(Id net, const NetRoute& before, const std::vector<EdgeRoute>& before_edges,
+              const NetRoute& after, const std::vector<EdgeRoute>& after_edges,
+              RouteSummary& summary) {
+  const std::size_t listed = summary.changed_edges.size();
+  const std::size_t n = std::max(before_edges.size(), after_edges.size());
+  for (std::size_t e = 0; e < n; ++e)
+    if (e >= before_edges.size() || e >= after_edges.size() ||
+        !(before_edges[e] == after_edges[e]))
+      summary.changed_edges.push_back(EdgeRef{net, static_cast<std::uint32_t>(e)});
+  if (!net_route_equal(before, after) || summary.changed_edges.size() != listed)
+    summary.changed_nets.push_back(net);
 }
 
 }  // namespace
@@ -109,48 +118,52 @@ void Router::reset_state(const std::vector<std::uint8_t>& mls_flags) {
   mls_flags_ = mls_flags;
 }
 
-NetRoute Router::route_net(Id net, bool mls, bool commit) {
-  NetTopology topo = build_net_topology(design_, tech_, net);
-  const std::size_t ne = topo.num_edges();
-  std::vector<EdgeRoute> edges(ne);
+void Router::route_in_order(std::span<const Id> nets) {
   const EdgeCostModel model{grid_, tech_, options_, history_or_null()};
-  if (commit) commits_[net].edges.assign(ne, EdgeCommit{});
-  EdgeTally tally;
-  for (std::size_t e = 0; e < ne; ++e) {
-    const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
-    const Terminal& b = topo.terms[e + 1];
-    edges[e] = route_edge(model, a, b, mls);
-    tally.add(edges[e]);
-    // Immediate commit: the next edge of this net (and every later net)
-    // sees this edge's congestion — the serial Gauss-Seidel discipline.
-    if (commit) commit_edge(grid_, edges[e], &commits_[net].edges[e]);
-  }
-  NetRoute out = assemble_net_route(design_.nl, net, topo, edges);
-  tally.flush(commit);
-  if (commit) {
+  // The distribution the mean hides: a handful of long congested edges
+  // dominate the tail while most route in sub-µs.
+  static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
+  for (const Id net : nets) {
+    GNNMLS_FAULT_POINT("route.net");
+    NetTopology topo = build_net_topology(design_, tech_, net);
+    const std::size_t ne = topo.num_edges();
+    const bool mls = flag_of(mls_flags_, net);
+    std::vector<EdgeRoute>& edges = edge_routes_[net];
+    edges.assign(ne, EdgeRoute{});
+    commits_[net].edges.assign(ne, EdgeCommit{});
+    EdgeTally tally;
+    for (std::size_t e = 0; e < ne; ++e) {
+      const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
+      const Terminal& b = topo.terms[e + 1];
+      const auto t0 = std::chrono::steady_clock::now();
+      edges[e] = route_edge(model, a, b, mls);
+      edge_s.observe(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+      tally.add(edges[e]);
+      // Immediate commit: the next edge of this net (and every later net)
+      // sees this edge's congestion — the Gauss-Seidel discipline.
+      commit_edge(grid_, edges[e], &commits_[net].edges[e]);
+    }
+    tally.flush(/*committed=*/true);
+    routes_[net] = assemble_net_route(design_.nl, net, topo, edges);
     topo_[net] = std::move(topo);
-    edge_routes_[net] = std::move(edges);
   }
-  return out;
 }
 
-std::vector<Id> Router::route_order(const std::vector<std::uint8_t>& mls_flags) const {
+void Router::sort_route_order(std::vector<Id>& nets) const {
   // Order: MLS nets first (targeted routing reserves their shared tracks),
   // longest first; then the rest, shortest first (locality preservation).
   // The net-id tie-break makes the order a total function of (flags, hpwl),
-  // which is what makes both engines deterministic.
+  // which is what makes the engine deterministic.
   const netlist::Netlist& nl = design_.nl;
-  std::vector<Id> order(nl.num_nets());
-  std::iota(order.begin(), order.end(), 0u);
   std::vector<float> hpwl(nl.num_nets());
-  for (Id i = 0; i < nl.num_nets(); ++i) hpwl[i] = static_cast<float>(nl.net_hpwl_um(i));
-  std::sort(order.begin(), order.end(), [&](Id x, Id y) {
-    const bool fx = flag_of(mls_flags, x), fy = flag_of(mls_flags, y);
+  for (const Id i : nets) hpwl[i] = static_cast<float>(nl.net_hpwl_um(i));
+  std::sort(nets.begin(), nets.end(), [&](Id x, Id y) {
+    const bool fx = flag_of(mls_flags_, x), fy = flag_of(mls_flags_, y);
     if (fx != fy) return fx;                     // MLS nets first
     if (hpwl[x] != hpwl[y]) return fx ? hpwl[x] > hpwl[y] : hpwl[x] < hpwl[y];
     return x < y;
   });
-  return order;
 }
 
 RouteSummary Router::summarize() const {
@@ -172,76 +185,51 @@ void Router::rip_up(Id net) {
   routes_[net] = NetRoute{};
 }
 
-void Router::finish_route_all(RouteSummary& summary) {
+RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
+  GNNMLS_SPAN("route.route_all");
+  reset_state(mls_flags);
+  const std::size_t n = design_.nl.num_nets();
+
+  // ---- phase 1: every net in route order, each edge committed at once ----
+  std::vector<Id> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  sort_route_order(order);
+  {
+    GNNMLS_SPAN("route.initial");
+    route_in_order(order);
+  }
+
+  // ---- phase 2: negotiation over the 2-pin edges, in route order ---------
+  NegotiationStats stats;
+  if (options_.max_negotiation_iters > 0) {
+    history_.assign(grid_.num_track_cells(), 0.0f);
+    std::vector<EdgeTask> tasks;
+    for (const Id net : order) {
+      const NetTopology& topo = topo_[net];
+      const bool mls = flag_of(mls_flags_, net);
+      for (std::uint32_t e = 0; e < topo.num_edges(); ++e)
+        tasks.push_back(EdgeTask{net, e,
+                                 topo.terms[static_cast<std::size_t>(topo.parent[e + 1])],
+                                 topo.terms[e + 1], mls});
+    }
+    stats = route_negotiated(
+        NegotiationInput{grid_, tech_, options_, tasks, history_, edge_routes_, commits_});
+    if (stats.iterations > 0)
+      for (Id net = 0; net < n; ++net)
+        routes_[net] = assemble_net_route(design_.nl, net, topo_[net], edge_routes_[net]);
+  }
+
+  RouteSummary summary = summarize();
+  summary.negotiation_iters = stats.iterations;
+  summary.negotiation_ripups = stats.ripups;
+  summary.budget_exhausted = stats.budget_exhausted;
   routed_revision_ = design_.nl.revision();
-  RouteCounters::get().nets_routed.add(design_.nl.num_nets());
+  RouteCounters::get().nets_routed.add(n);
   obs::Metrics::instance().gauge("route.overflow_gcells")
       .set(static_cast<double>(summary.census.overflow_gcells));
   obs::Metrics::instance().gauge("route.wl_m").set(summary.total_wl_m);
   util::log_debug("router: WL ", summary.total_wl_m, " m, MLS nets ", summary.mls_nets,
                   ", overflow gcells ", summary.census.overflow_gcells);
-}
-
-RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
-  return options_.negotiate ? route_all_negotiated(mls_flags) : route_all_serial(mls_flags);
-}
-
-RouteSummary Router::route_all_serial(const std::vector<std::uint8_t>& mls_flags) {
-  GNNMLS_SPAN("route.route_all");
-  reset_state(mls_flags);
-  for (Id net : route_order(mls_flags_)) {
-    GNNMLS_FAULT_POINT("route.net");
-    routes_[net] = route_net(net, flag_of(mls_flags_, net), /*commit=*/true);
-  }
-  RouteSummary summary = summarize();
-  finish_route_all(summary);
-  return summary;
-}
-
-RouteSummary Router::route_all_negotiated(const std::vector<std::uint8_t>& mls_flags) {
-  GNNMLS_SPAN("route.route_all");
-  reset_state(mls_flags);
-  history_.assign(grid_.num_track_cells(), 0.0f);
-
-  // ---- phase 0: decompose every net into 2-pin edges ----------------------
-  // The edge list is emitted in route order, so "earlier in the list" means
-  // "higher routing priority" — within a shard bucket, MLS edges route and
-  // commit before the native ones exactly as in the serial engine.
-  std::vector<EdgeTask> tasks;
-  {
-    GNNMLS_SPAN("route.decompose");
-    for (Id net : route_order(mls_flags_)) {
-      GNNMLS_FAULT_POINT("route.net");
-      NetTopology topo = build_net_topology(design_, tech_, net);
-      const std::size_t ne = topo.num_edges();
-      edge_routes_[net].assign(ne, EdgeRoute{});
-      commits_[net].edges.assign(ne, EdgeCommit{});
-      const bool mls = flag_of(mls_flags_, net);
-      for (std::uint32_t e = 0; e < ne; ++e) {
-        tasks.push_back(EdgeTask{net, e,
-                                 topo.terms[static_cast<std::size_t>(topo.parent[e + 1])],
-                                 topo.terms[e + 1], mls});
-      }
-      topo_[net] = std::move(topo);
-    }
-  }
-
-  // ---- phases 1+2: sharded routing + negotiation --------------------------
-  const NegotiationStats stats = route_negotiated(
-      NegotiationInput{grid_, tech_, options_, tasks, history_, edge_routes_, commits_});
-
-  // ---- assemble per-net electrical models ---------------------------------
-  EdgeTally tally;
-  for (Id net = 0; net < design_.nl.num_nets(); ++net) {
-    routes_[net] = assemble_net_route(design_.nl, net, topo_[net], edge_routes_[net]);
-    for (const EdgeRoute& er : edge_routes_[net]) tally.add(er);
-  }
-  tally.flush(/*committed=*/true);
-
-  RouteSummary summary = summarize();
-  summary.negotiation_iters = stats.iterations;
-  summary.negotiation_ripups = stats.ripups;
-  finish_route_all(summary);
   return summary;
 }
 
@@ -276,20 +264,11 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
       rc.eco_reroutes.add(1);
     }
     RouteSummary summary = route_all(mls_flags);
-    const NetRoute empty_route;
-    const std::vector<EdgeRoute> empty_edges;
-    for (Id i = 0; i < n; ++i) {
-      const NetRoute& prev = i < before_routes.size() ? before_routes[i] : empty_route;
-      // A net is changed if its electrical value moved OR any of its edges
-      // was re-chosen (an edge can move between equal-cost cells without
-      // shifting the net totals; its grid footprint still changed, so the
-      // changed_edges ⊆ changed_nets contract must count the net).
-      const std::size_t edges_before = summary.changed_edges.size();
-      diff_edges(i, i < before_edges.size() ? before_edges[i] : empty_edges, edge_routes_[i],
-                 summary.changed_edges);
-      if (!net_route_equal(prev, routes_[i]) || summary.changed_edges.size() != edges_before)
-        summary.changed_nets.push_back(i);
-    }
+    // Nets added since the previous route diff against an empty route.
+    before_routes.resize(n);
+    before_edges.resize(n);
+    for (Id i = 0; i < n; ++i)
+      diff_net(i, before_routes[i], before_edges[i], routes_[i], edge_routes_[i], summary);
     util::log_debug("router: replay rerouted ", n, " nets (", summary.changed_nets.size(),
                     " changed), WL ", summary.total_wl_m, " m");
     return summary;
@@ -305,21 +284,13 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   std::vector<Id> affected;
   for (Id i = 0; i < n; ++i)
     if (is_dirty[i]) affected.push_back(i);
+  mls_flags_ = mls_flags;
   if (affected.empty()) {
-    mls_flags_ = mls_flags;
     routed_revision_ = nl.revision();
     return summarize();
   }
-
-  // Deterministic repair order = the route order restricted to the dirty set.
-  std::vector<float> hpwl(n);
-  for (Id i = 0; i < n; ++i) hpwl[i] = static_cast<float>(nl.net_hpwl_um(i));
-  std::sort(affected.begin(), affected.end(), [&](Id x, Id y) {
-    const bool fx = flag_of(mls_flags, x), fy = flag_of(mls_flags, y);
-    if (fx != fy) return fx;
-    if (hpwl[x] != hpwl[y]) return fx ? hpwl[x] > hpwl[y] : hpwl[x] < hpwl[y];
-    return x < y;
-  });
+  // The repair order is the route order restricted to the dirty set.
+  sort_route_order(affected);
 
   std::vector<NetRoute> before;
   std::vector<std::vector<EdgeRoute>> before_edges;
@@ -336,21 +307,13 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
     rc.eco_reroutes.add(1);
   }
   for (const Id i : affected) rip_up(i);
-  mls_flags_ = mls_flags;
-  for (const Id i : affected) {
-    GNNMLS_FAULT_POINT("route.net");
-    routes_[i] = route_net(i, flag_of(mls_flags_, i), /*commit=*/true);
-  }
+  route_in_order(affected);
   routed_revision_ = nl.revision();
 
   RouteSummary summary = summarize();
   for (std::size_t k = 0; k < affected.size(); ++k) {
-    const std::size_t edges_before = summary.changed_edges.size();
-    diff_edges(affected[k], before_edges[k], edge_routes_[affected[k]],
-               summary.changed_edges);
-    if (!net_route_equal(before[k], routes_[affected[k]]) ||
-        summary.changed_edges.size() != edges_before)
-      summary.changed_nets.push_back(affected[k]);
+    const Id i = affected[k];
+    diff_net(i, before[k], before_edges[k], routes_[i], edge_routes_[i], summary);
   }
   util::log_debug("router: rerouted ", affected.size(), " nets (", summary.changed_nets.size(),
                   " changed), WL ", summary.total_wl_m, " m");

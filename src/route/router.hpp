@@ -1,25 +1,24 @@
 // Congestion- and MLS-aware global router.
 //
-// The router is a three-phase engine (ROADMAP item 2, the nthu-route
-// Route_2pinnets / RangeRouter structure):
+// The router is one engine with two phases (the NTHU-Route Route_2pinnets /
+// RangeRouter structure):
 //
-//   1. decompose — every net becomes a driver-rooted spanning tree of 2-pin
-//      edges (route/topology.hpp), the atomic routing unit;
-//   2. shard — the gcell plane is tessellated into regions with halo
-//      overlap and each shard's edges are routed as independent tasks on
-//      flow::Executor under the GNNMLS_THREADS discipline
-//      (route/shard.hpp);
-//   3. negotiate — a deterministic PathFinder-style loop rips up the edges
+//   1. route in order — every net is decomposed into a driver-rooted
+//      spanning tree of 2-pin edges (route/topology.hpp), and the nets are
+//      routed in the deterministic route order, each edge against the live
+//      grid and committed at once (Gauss-Seidel: every edge sees the
+//      congestion of every edge before it);
+//   2. negotiate — a deterministic PathFinder-style loop rips up the edges
 //      crossing congested ranges and reroutes them with history-based
 //      congestion costs until overflow converges or an iteration cap hits
 //      (route/negotiate.hpp).
 //
-// Results are bit-identical at any thread count: workers only compute edge
-// routes from frozen snapshots into disjoint slots, and every grid commit
-// happens serially in an order derived from the deterministic route order.
-// RouterOptions::negotiate = false selects the legacy single-pass serial
-// engine (also the degradation target when negotiation overruns its
-// watchdog budget).
+// max_negotiation_iters = 0 stops after phase 1. The ECO repair
+// (reroute_nets, kEco) re-runs phase 1's in-order loop over the dirty nets.
+// Results are bit-identical at any thread count: phase 1 is single-
+// threaded, and negotiation workers only compute edge routes from frozen
+// snapshots into disjoint slots, with every grid commit made serially in
+// the deterministic edge order.
 //
 // Layer-pair selection per edge is cost-driven: wire RC delay + via-stack
 // resistance + congestion penalty (+ negotiated history), so short nets
@@ -69,23 +68,20 @@ struct RouterOptions {
   // How many of the other tier's top layers MLS may use (paper: M5-6).
   int shared_layers = 2;
 
-  // ---- sharded negotiated engine (route/negotiate.hpp) --------------------
-  // false selects the legacy single-pass serial engine (route_all_serial).
-  bool negotiate = true;
-  // Shard side length in gcells for the initial parallel routing phase.
-  int shard_gcells = 16;
+  // ---- negotiation (route/negotiate.hpp) ----------------------------------
   // Overflow-mask dilation: edges within this many gcells of a congested
-  // range are negotiation rip-up victims (the shard halo overlap).
+  // range are negotiation rip-up victims.
   int halo_gcells = 2;
-  // Negotiation loop bounds.
+  // Negotiation loop bounds; 0 iterations keeps the in-order initial route.
   int max_negotiation_iters = 8;
   // Stop after this many consecutive iterations without strict improvement.
   int stagnation_limit = 2;
   // History cost added per unit of overflow per iteration (ps per visit).
   double history_gain_ps = 1.5;
-  // Cooperative wall-clock watchdog for decompose+shard+negotiate: when
-  // > 0, overrunning it throws a retryable ft::FlowError(kTimeout), which
-  // RoutePass degrades into a serial route_all. 0 disables the budget.
+  // Cooperative wall-clock watchdog for the negotiation loop: when > 0, the
+  // loop stops at the top of the first iteration past the budget and the
+  // summary reports budget_exhausted (RoutePass flags the row degraded).
+  // 0 disables the budget.
   double negotiation_budget_s = 0.0;
 };
 
@@ -119,21 +115,23 @@ struct RouteSummary {
   // (Pinned by RouterDelta.RouteAllReportsNoDeltaRerouteReportsExact.)
   std::vector<netlist::Id> changed_nets;
   std::vector<EdgeRef> changed_edges;
-  // Negotiation statistics of the producing route_all (0 for the serial
-  // engine and for reroute_nets' ECO repairs).
+  // Negotiation statistics of the producing route_all (0 when negotiation
+  // is off and for reroute_nets' ECO repairs).
   std::size_t negotiation_iters = 0;
   std::size_t negotiation_ripups = 0;
+  // negotiation_budget_s cut the negotiation loop short.
+  bool budget_exhausted = false;
 };
 
 // How reroute_nets repairs the routing state after an ECO.
 enum class RerouteMode {
   // Minimal rip-up: only the dirty (and any brand-new) nets are ripped up
-  // and re-routed against the surviving congestion state (and, under the
-  // negotiated engine, the surviving history surface). Fast — cost scales
-  // with the dirty set — but the result can differ from a from-scratch
-  // route_all because rerouted nets see congestion out of order. This is the
-  // ECO mode for netlist-changing passes (DFT/scan insertion), where
-  // from-scratch equivalence is undefined anyway.
+  // and re-routed, with route_all's in-order loop, against the surviving
+  // congestion state (and the surviving history surface, if any). Fast —
+  // cost scales with the dirty set — but the result can differ from a
+  // from-scratch route_all because rerouted nets see congestion out of
+  // order. This is the ECO mode for netlist-changing passes (DFT/scan
+  // insertion), where from-scratch equivalence is undefined anyway.
   kEco,
   // Bit-exact with route_all: the routing state is rebuilt by a full
   // deterministic re-run under the new flags and the summary reports the
@@ -151,15 +149,10 @@ class Router {
   Router(const netlist::Design& design, const tech::Tech3D& tech,
          const RouterOptions& options = {});
 
-  // Routes every net with the engine selected by options.negotiate.
+  // Routes every net: the in-order initial route, then negotiation.
   // mls_flags is per-net (empty = no MLS anywhere). Resets any previous
   // routing state, including the negotiation history.
   RouteSummary route_all(const std::vector<std::uint8_t>& mls_flags);
-  // The legacy single-pass engine: nets in deterministic route order, each
-  // edge committed as soon as it is chosen, no negotiation. Used as the
-  // degradation target when negotiation overruns its budget, and as the
-  // baseline of the nets/s benchmark.
-  RouteSummary route_all_serial(const std::vector<std::uint8_t>& mls_flags);
 
   // Incremental repair after `dirty` nets changed (connectivity, placement
   // of their pins, or their MLS flag). Nets added to the netlist since the
@@ -229,17 +222,16 @@ class Router {
   // Clears grid usage + history and resizes every per-net artifact for the
   // current netlist, installing `mls_flags` as the decision vector.
   void reset_state(const std::vector<std::uint8_t>& mls_flags);
-  RouteSummary route_all_negotiated(const std::vector<std::uint8_t>& mls_flags);
-  // Re-decomposes and routes one net edge-by-edge against the current grid
-  // state (serial engine and ECO repairs). With commit, each edge's usage
-  // lands before the next edge is chosen and the footprints/topology are
-  // stored on the router.
-  NetRoute route_net(netlist::Id net, bool mls, bool commit);
+  // The in-order loop shared by route_all's phase 1 and the ECO repair:
+  // decomposes and routes each of `nets` (already in route order), edge by
+  // edge against the live grid, committing every edge before the next is
+  // chosen and storing footprints and topology.
+  void route_in_order(std::span<const netlist::Id> nets);
   void rip_up(netlist::Id net);
-  void finish_route_all(RouteSummary& summary);
-  // Deterministic total route order for the given decisions (MLS nets first
-  // by descending HPWL, then native ascending, net id as the tie-break).
-  std::vector<netlist::Id> route_order(const std::vector<std::uint8_t>& mls_flags) const;
+  // Sorts `nets` into the deterministic total route order under mls_flags_
+  // (MLS nets first by descending HPWL, then native ascending, net id as
+  // the tie-break).
+  void sort_route_order(std::vector<netlist::Id>& nets) const;
   RouteSummary summarize() const;
   bool flag_of(const std::vector<std::uint8_t>& flags, netlist::Id net) const {
     return !flags.empty() && net < flags.size() && flags[net] != 0;

@@ -1,4 +1,4 @@
-// Phase 1 of the routing engine: 2-pin decomposition.
+// The routing engine's atomic unit: 2-pin decomposition.
 //
 // Every multi-pin net is decomposed into a driver-rooted spanning tree
 // (Prim, Manhattan metric) whose tree edges are the atomic routing unit —
@@ -16,9 +16,9 @@
 //                        the routed edges
 //
 // route_edge() is deliberately pure with respect to the grid (reads only):
-// the sharded engine (route/shard.hpp, route/negotiate.hpp) routes many
-// edges concurrently against a frozen congestion snapshot, and purity here
-// is what makes the parallel result bit-identical at any thread count.
+// negotiation (route/negotiate.hpp) reroutes many edges concurrently
+// against a frozen congestion snapshot, and purity here is what makes the
+// parallel result bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -101,8 +101,8 @@ struct NetCommit {
 
 // Read-only context for routing one edge. `history` is the negotiated-
 // congestion cost surface (ps per track-cell visit), indexed like the
-// grid's flat track cells; null disables the history term (the legacy
-// serial engine and pre-negotiation trials).
+// grid's flat track cells; null disables the history term (the initial
+// route, and everything after a route without negotiation).
 struct EdgeCostModel {
   const RoutingGrid& grid;
   const tech::Tech3D& tech;

@@ -352,23 +352,26 @@ TEST_F(Ft, EcoRerouteFailureDegradesToFullRoute) {
 
 TEST_F(Ft, NegotiationBudgetOverrunDegradesToSerialRouter) {
   mls::FlowConfig cfg = make_config();
-  // An impossible watchdog budget: the negotiated engine throws a retryable
-  // kTimeout on its first cooperative check, and RoutePass must degrade to
-  // the serial single-pass router inside the pass (no wave rollback).
+  // An impossible watchdog budget: negotiation stops before its first
+  // iteration, and RoutePass keeps the in-order initial route and flags the
+  // row degraded inside the pass (no throw, no wave rollback or retry).
   cfg.router.negotiation_budget_s = 1e-12;
   mls::DesignFlow flow = make_flow(cfg);
+  const std::uint64_t degraded_before =
+      obs::Metrics::instance().counter("ft.degraded").value();
   const mls::FlowMetrics m = flow.evaluate_no_mls();
 
   EXPECT_TRUE(m.degraded);
+  EXPECT_EQ(obs::Metrics::instance().counter("ft.degraded").value(), degraded_before + 1);
   EXPECT_TRUE(flow.last_run_report().rollbacks.empty());
   EXPECT_EQ(flow.last_run_report().retries, 0u);
   EXPECT_GT(m.wl_m, 0.0);
 
-  // The serial result matches a flow configured for the serial engine
-  // outright: degradation lands on the documented target, not some
-  // half-negotiated state.
+  // The result matches a flow configured without negotiation outright:
+  // degradation lands on the documented target, not some half-negotiated
+  // state.
   mls::FlowConfig serial_cfg = make_config();
-  serial_cfg.router.negotiate = false;
+  serial_cfg.router.max_negotiation_iters = 0;
   mls::DesignFlow serial = make_flow(serial_cfg);
   const mls::FlowMetrics want = serial.evaluate_no_mls();
   EXPECT_DOUBLE_EQ(m.wl_m, want.wl_m);

@@ -3,7 +3,6 @@
 
 #include <cstdlib>
 
-#include "ft/error.hpp"
 #include "netlist/buffering.hpp"
 #include "netlist/generators.hpp"
 #include "place/placer.hpp"
@@ -266,10 +265,40 @@ TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
   EXPECT_TRUE(noop.changed_edges.empty());
 }
 
+// One in-order loop: a zero-iteration route_all (the initial route alone)
+// and an ECO repair of every net on a fresh router both run it over the
+// whole route order, so they must agree edge for edge. Covers both stacks,
+// with and without long-net MLS flags.
+TEST(RouterNegotiation, ZeroIterationsEqualsRerouteOfEveryNet) {
+  for (const bool hetero : {true, false}) {
+    tech::Tech3D tech3d;
+    Design d = placed_16pe(hetero, tech3d);
+    std::vector<std::uint8_t> long_nets(d.nl.num_nets(), 0);
+    for (Id n = 0; n < d.nl.num_nets(); ++n)
+      if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > 60.0) long_nets[n] = 1;
+    std::vector<Id> every(d.nl.num_nets());
+    for (Id n = 0; n < d.nl.num_nets(); ++n) every[n] = n;
+    for (const std::vector<std::uint8_t>& flags : {std::vector<std::uint8_t>{}, long_nets}) {
+      SCOPED_TRACE(testing::Message() << (hetero ? "hetero" : "homo")
+                                      << (flags.empty() ? ", no flags" : ", long-net flags"));
+      RouterOptions opt;
+      opt.max_negotiation_iters = 0;
+      Router initial(d, tech3d, opt);
+      const RouteSummary rs = initial.route_all(flags);
+      EXPECT_EQ(rs.negotiation_iters, 0u);
+      Router eco(d, tech3d, opt);
+      const RouteSummary re = eco.reroute_nets(every, flags, RerouteMode::kEco);
+      EXPECT_EQ(rs.total_wl_m, re.total_wl_m);
+      EXPECT_EQ(rs.census.overflow_gcells, re.census.overflow_gcells);
+      EXPECT_EQ(rs.census.f2f_overflow_gcells, re.census.f2f_overflow_gcells);
+      expect_identical_routing(initial, eco, d.nl.num_nets());
+    }
+  }
+}
+
 // Negotiation must pay for itself: the final overflow can never exceed the
-// legacy serial engine's (the revert-on-worse rule makes the loop monotone
-// against its own start, and commit-time repair keeps the sharded initial
-// state at least serial-quality).
+// initial route's (the revert-on-worse rule makes the loop monotone against
+// its start, and max_negotiation_iters = 0 is exactly that start).
 TEST(RouterNegotiation, OverflowNoWorseThanSerial) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(true, tech3d);
@@ -280,31 +309,35 @@ TEST(RouterNegotiation, OverflowNoWorseThanSerial) {
   Router negotiated(d, tech3d);
   const RouteSummary neg = negotiated.route_all(flags);
   RouterOptions serial_opt;
-  serial_opt.negotiate = false;
+  serial_opt.max_negotiation_iters = 0;
   Router serial(d, tech3d, serial_opt);
   const RouteSummary ser = serial.route_all(flags);
   EXPECT_LE(neg.census.overflow_gcells + neg.census.f2f_overflow_gcells,
             ser.census.overflow_gcells + ser.census.f2f_overflow_gcells);
 }
 
-// The cooperative watchdog: an impossible budget makes the negotiated
-// engine throw the retryable kTimeout that RoutePass degrades on.
-TEST(RouterNegotiation, BudgetOverrunThrowsRetryableTimeout) {
+// The cooperative watchdog: an impossible budget stops negotiation before
+// its first iteration, without throwing, and leaves exactly the initial
+// route (the zero-iteration result).
+TEST(RouterNegotiation, BudgetOverrunStopsNegotiation) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(false, tech3d);
   RouterOptions opt;
   opt.negotiation_budget_s = 1e-12;
   Router router(d, tech3d, opt);
-  try {
-    router.route_all({});
-    FAIL() << "expected ft::FlowError(kTimeout)";
-  } catch (const ft::FlowError& e) {
-    EXPECT_EQ(e.code(), ft::ErrorCode::kTimeout);
-    EXPECT_TRUE(e.retryable());
-  }
-  // The serial fallback still works on the same router instance.
-  const RouteSummary rs = router.route_all_serial({});
-  EXPECT_GT(rs.total_wl_m, 0.0);
+  RouteSummary rs;
+  ASSERT_NO_THROW(rs = router.route_all({}));
+  EXPECT_TRUE(rs.budget_exhausted);
+  EXPECT_EQ(rs.negotiation_iters, 0u);
+
+  RouterOptions zero;
+  zero.max_negotiation_iters = 0;
+  Router initial(d, tech3d, zero);
+  const RouteSummary want = initial.route_all({});
+  EXPECT_FALSE(want.budget_exhausted);
+  EXPECT_EQ(rs.total_wl_m, want.total_wl_m);
+  EXPECT_EQ(rs.census.overflow_gcells, want.census.overflow_gcells);
+  expect_identical_routing(router, initial, d.nl.num_nets());
 }
 
 TEST(Router, DescribeLayers) {

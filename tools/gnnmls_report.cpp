@@ -213,13 +213,15 @@ int cmd_check_routing(const std::vector<std::string>& args) {
     return 2;
   }
   // Quality gate (unconditional): negotiation must end at or below the
-  // serial engine's overflow — parallelism may not trade quality for speed.
+  // overflow of the initial route it starts from — parallelism may not trade
+  // quality for speed.
   const double s_ovf = serial->num_or("overflow", -1.0);
   const double n1_ovf = neg1->num_or("overflow", -1.0);
   const double n4_ovf = neg4->num_or("overflow", -1.0);
   if (n4_ovf > s_ovf) {
-    std::fprintf(stderr, "routing gate FAILED: negotiated overflow %.0f > serial %.0f\n", n4_ovf,
-                 s_ovf);
+    std::fprintf(stderr,
+                 "routing gate FAILED: negotiated overflow %.0f > initial-route overflow %.0f\n",
+                 n4_ovf, s_ovf);
     return 1;
   }
   if (n1_ovf != n4_ovf) {
@@ -241,11 +243,11 @@ int cmd_check_routing(const std::vector<std::string>& args) {
                    speedup);
       return 1;
     }
-    std::printf("routing perf gate OK: %.2fx at 4 threads, overflow %.0f <= serial %.0f\n",
+    std::printf("routing perf gate OK: %.2fx at 4 threads, overflow %.0f <= initial route %.0f\n",
                 speedup, n4_ovf, s_ovf);
   } else {
-    std::printf("routing perf gate OK (ledger-only on %u-core host): overflow %.0f <= serial "
-                "%.0f\n",
+    std::printf("routing perf gate OK (ledger-only on %u-core host): overflow %.0f <= initial "
+                "route %.0f\n",
                 cores, n4_ovf, s_ovf);
   }
   return 0;
