@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "pdn/irdrop.hpp"
 #include "util/log.hpp"
 
 using namespace gnnmls;
@@ -261,6 +262,20 @@ void BM_FaultSimulation(benchmark::State& st) {
   }
 }
 BENCHMARK(BM_FaultSimulation)->Unit(benchmark::kMillisecond);
+
+// One IR-drop solve on the largest PDN grid (96 x 96 nodes, the a7-dual
+// scale) with seeded injection: the unit of work of every PDN pass, which
+// makes two of these.
+void BM_IrSolve(benchmark::State& st) {
+  pdn::PdnGridSpec spec;
+  spec.die_w_um = 96 * spec.strap_pitch_um;
+  spec.die_h_um = 96 * spec.strap_pitch_um;
+  util::Rng rng(1001);
+  std::vector<double> pmap(48 * 48);
+  for (double& p : pmap) p = rng.uniform(0.0, 0.1);
+  for (auto _ : st) benchmark::DoNotOptimize(pdn::solve_ir_drop(spec, pmap, 48, 48));
+}
+BENCHMARK(BM_IrSolve)->Unit(benchmark::kMillisecond);
 
 void BM_MlsGainOracle(benchmark::State& st) {
   auto& f = *state().flow;

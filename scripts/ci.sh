@@ -174,11 +174,11 @@ echo "==> perf smoke: incremental-ECO + per-stage microbenchmarks on MAERI-16PE"
 # ledgers (BM_Flow*Stages/BM_DecideStage export route_s/sta_s/... counters),
 # the scheduler's skip fast path (BM_PassSkip exports the skip rate), and
 # the 1-vs-4-thread wave timings (BM_FlowParallel exports pdn_s/faultsim_s
-# per thread count), so BENCH_incremental.json carries stage times run over
-# run; the gate is that the cases run to completion, the JSON is for trend
+# per thread count) and one 96x96 IR-drop solve (BM_IrSolve), so
+# BENCH_incremental.json carries stage times run over run; the gate is that the cases run to completion, the JSON is for trend
 # tracking.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_StaIncremental|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_FlowParallel|BM_AuditOverhead' \
+  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_StaIncremental|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_FlowParallel|BM_AuditOverhead|BM_IrSolve' \
   --benchmark_out=BENCH_incremental.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
 

@@ -2,12 +2,48 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace gnnmls::pdn {
+
+namespace {
+
+// The orthonormal DST-I matrix of order k, S[i][j] = sqrt(2/(k+1)) *
+// sin(pi (i+1)(j+1) / (k+1)), and the eigenvalues 2 - 2 cos(pi (i+1) / (k+1))
+// of T_k = tridiag(-1, 2, -1). S is symmetric, its own inverse, and
+// S T_k S = diag(eig). The sine argument is reduced modulo its period 2(k+1).
+void sine_transform(int k, std::vector<double>& s, std::vector<double>& eig) {
+  const int half = k + 1;
+  const double norm = std::sqrt(2.0 / half);
+  s.resize(static_cast<std::size_t>(k) * k);
+  eig.resize(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) {
+    for (int j = 0; j < k; ++j)
+      s[static_cast<std::size_t>(i) * k + j] =
+          norm * std::sin(std::numbers::pi * ((i + 1) * (j + 1) % (2 * half)) / half);
+    eig[static_cast<std::size_t>(i)] = 2.0 - 2.0 * std::cos(std::numbers::pi * (i + 1) / half);
+  }
+}
+
+// c = a * b, all row-major: a is rows x inner, b is inner x cols.
+void matmul(const std::vector<double>& a, const std::vector<double>& b, std::vector<double>& c,
+            int rows, int inner, int cols) {
+  std::fill(c.begin(), c.end(), 0.0);
+  for (int i = 0; i < rows; ++i) {
+    double* ci = c.data() + static_cast<std::size_t>(i) * cols;
+    for (int k = 0; k < inner; ++k) {
+      const double aik = a[static_cast<std::size_t>(i) * inner + k];
+      const double* bk = b.data() + static_cast<std::size_t>(k) * cols;
+      for (int j = 0; j < cols; ++j) ci[j] += aik * bk[j];
+    }
+  }
+}
+
+}  // namespace
 
 IrDropResult solve_ir_drop(const PdnGridSpec& spec, const std::vector<double>& power_map_mw,
                            int map_nx, int map_ny) {
@@ -41,46 +77,45 @@ IrDropResult solve_ir_drop(const PdnGridSpec& spec, const std::vector<double>& p
     }
   }
 
-  // SOR relaxation; boundary nodes are ideal VDD sources.
-  std::vector<double> v(static_cast<std::size_t>(nx) * ny, spec.vdd);
-  const double omega = 1.85;
-  const double tol_v = 1e-7;
-  const int max_iters = 4000;
-  auto at = [&](int x, int y) -> double& { return v[static_cast<std::size_t>(y) * nx + x]; };
-  int iter = 0;
-  for (; iter < max_iters; ++iter) {
-    double max_delta = 0.0;
-    for (int y = 1; y + 1 < ny; ++y) {
-      for (int x = 1; x + 1 < nx; ++x) {
-        const double g_sum = 2.0 * g_x + 2.0 * g_y;
-        const double neighbor =
-            g_x * (at(x - 1, y) + at(x + 1, y)) + g_y * (at(x, y - 1) + at(x, y + 1));
-        const double target = (neighbor - inj_a[static_cast<std::size_t>(y) * nx + x]) / g_sum;
-        const double old = at(x, y);
-        const double next = old + omega * (target - old);
-        at(x, y) = next;
-        max_delta = std::max(max_delta, std::abs(next - old));
-      }
-    }
-    if (max_delta < tol_v) {
-      result.converged = true;
-      break;
-    }
+  // Boundary nodes are ideal VDD sources (zero drop). On the m x n interior
+  // (columns x, rows y) the drop D = VDD - v solves Kirchhoff's current law,
+  //   g_x * D * T_m + g_y * T_n * D = F   (F = injected current),
+  // and the sine transforms diagonalise both terms:
+  //   D = S_n ((S_n F S_m) ./ (g_y * lambda_i + g_x * mu_j)) S_m.
+  std::vector<double> drop_v(static_cast<std::size_t>(nx) * ny, 0.0);
+  const int m = nx - 2, n = ny - 2;
+  if (m > 0 && n > 0) {
+    std::vector<double> s_m, mu, s_n, lambda;
+    sine_transform(m, s_m, mu);
+    sine_transform(n, s_n, lambda);
+    const std::size_t cells = static_cast<std::size_t>(n) * m;
+    std::vector<double> f(cells), work(cells);
+    auto interior = [&](int y, int x) { return static_cast<std::size_t>(y + 1) * nx + (x + 1); };
+    for (int y = 0; y < n; ++y)
+      for (int x = 0; x < m; ++x) f[static_cast<std::size_t>(y) * m + x] = inj_a[interior(y, x)];
+    matmul(s_n, f, work, n, n, m);
+    matmul(work, s_m, f, n, m, m);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < m; ++j)
+        f[static_cast<std::size_t>(i) * m + j] /=
+            g_y * lambda[static_cast<std::size_t>(i)] + g_x * mu[static_cast<std::size_t>(j)];
+    matmul(s_n, f, work, n, n, m);
+    matmul(work, s_m, f, n, m, m);
+    for (int y = 0; y < n; ++y)
+      for (int x = 0; x < m; ++x) drop_v[interior(y, x)] = f[static_cast<std::size_t>(y) * m + x];
   }
-  result.iterations = iter + 1;
 
-  result.node_drop_mv.resize(v.size());
+  result.node_drop_mv.resize(drop_v.size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const double drop = (spec.vdd - v[i]) * 1e3;
+  for (std::size_t i = 0; i < drop_v.size(); ++i) {
+    const double drop = drop_v[i] * 1e3;
     result.node_drop_mv[i] = drop;
     result.max_drop_mv = std::max(result.max_drop_mv, drop);
     sum += drop;
   }
-  result.mean_drop_mv = sum / static_cast<double>(v.size());
+  result.mean_drop_mv = sum / static_cast<double>(drop_v.size());
   result.drop_pct_of_vdd = result.max_drop_mv / (spec.vdd * 1e3) * 100.0;
-  obs::Metrics::instance().counter("pdn.ir_iterations").add(
-      static_cast<std::uint64_t>(result.iterations));
+  obs::Metrics::instance().counter("pdn.ir_iterations").add(1);
   obs::Metrics::instance().gauge("pdn.max_drop_mv").set(result.max_drop_mv);
   return result;
 }

@@ -3,11 +3,19 @@
 // The PDN is a mesh of straps on each tier's top two layers: one layer of
 // horizontal straps, one of vertical, via-stitched at every crossing. The
 // solver builds one node per crossing, injects each gcell's load current at
-// the nearest node, clamps boundary nodes (pad ring / bump array at the die
-// edge) to VDD, and relaxes with SOR to the DC operating point. Output is
-// the worst-case drop and a coarse drop map (paper Figure 9(a)).
+// the nearest node and clamps boundary nodes (pad ring / bump array at the
+// die edge) to VDD. The mesh has one conductance per direction and Dirichlet
+// boundaries, so its DC operating point is solved exactly by a sine-transform
+// (DST-I) direct solve: four dense products of at most 94x94, no iteration.
+// Output is the worst-case drop and a coarse drop map (paper Figure 9(a)).
+//
+// Every grid conductance is proportional to strap_width_um, so the drop
+// scales exactly as 1 / width; synthesize_pdn exploits that to size a tier
+// from one solve. Each call adds 1 to the `pdn.ir_iterations` counter, which
+// therefore counts solves.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "tech/tech.hpp"
@@ -30,8 +38,6 @@ struct IrDropResult {
   double drop_pct_of_vdd = 0.0;
   int grid_nx = 0, grid_ny = 0;
   std::vector<double> node_drop_mv;  // row-major ny x nx map
-  int iterations = 0;
-  bool converged = false;
 };
 
 // power_map_mw: row-major map_ny x map_nx of load power per region; it is

@@ -38,42 +38,50 @@ std::vector<double> power_density_map(const netlist::Design& design, const tech:
   return map;
 }
 
+TierGrid tier_grid(const netlist::Design& design, const tech::Tech3D& tech,
+                   const std::vector<route::NetRoute>& routes, int tier,
+                   const PdnOptions& options) {
+  TierGrid grid;
+  grid.power_map_mw = power_density_map(design, tech, routes, tier, grid.map_nx, grid.map_ny);
+  PdnGridSpec& spec = grid.spec;
+  spec.die_w_um = design.info.die_w_um;
+  spec.die_h_um = design.info.die_h_um;
+  spec.strap_width_um = 1.0;
+  spec.strap_pitch_um = options.strap_pitch_um;
+  spec.vdd = tier == 0 ? tech.vdd_bottom() : tech.vdd_top();
+  // Sheet resistance of the tier's top metal.
+  const tech::BeolStack& stack = tier == 0 ? tech.beol_bottom : tech.beol_top;
+  const tech::MetalLayer& top = stack.layer(stack.top());
+  spec.sheet_r_ohm = top.r_ohm_per_um * top.width_um;  // Ohm/um * um = Ohm/sq
+  return grid;
+}
+
 PdnDesign synthesize_pdn(const netlist::Design& design, const tech::Tech3D& tech,
                          const std::vector<route::NetRoute>& routes, const PdnOptions& options) {
   GNNMLS_SPAN("pdn.synthesize");
   PdnDesign out;
   const double vdd_min = tech.vdd_min();
-  const int map_nx = 48, map_ny = 48;
+  // Budget is expressed against the lowest VDD in the stack (Table IV).
+  const double budget_mv = options.ir_budget_pct * 0.01 * vdd_min * 1e3;
   for (int tier = 0; tier < 2; ++tier) {
-    const std::vector<double> pmap =
-        power_density_map(design, tech, routes, tier, map_nx, map_ny);
-    const double vdd = tier == 0 ? tech.vdd_bottom() : tech.vdd_top();
-    PdnGridSpec spec;
-    spec.die_w_um = design.info.die_w_um;
-    spec.die_h_um = design.info.die_h_um;
-    spec.strap_pitch_um = options.strap_pitch_um;
-    spec.vdd = vdd;
-    // Sheet resistance of the tier's top metal.
-    const tech::BeolStack& stack = tier == 0 ? tech.beol_bottom : tech.beol_top;
-    const tech::MetalLayer& top = stack.layer(stack.top());
-    spec.sheet_r_ohm = top.r_ohm_per_um * top.width_um;  // Ohm/um * um = Ohm/sq
-
+    const TierGrid grid = tier_grid(design, tech, routes, tier, options);
+    IrDropResult ir = solve_ir_drop(grid.spec, grid.power_map_mw, grid.map_nx, grid.map_ny);
     double util = options.min_utilization;
-    IrDropResult best;
-    for (; util <= options.max_utilization + 1e-9; util += 0.02) {
-      spec.strap_width_um = util * spec.strap_pitch_um;
-      best = solve_ir_drop(spec, pmap, map_nx, map_ny);
-      // Budget is expressed against the lowest VDD in the stack (Table IV).
-      if (best.max_drop_mv <= options.ir_budget_pct * 0.01 * vdd_min * 1e3) break;
-    }
+    for (; util <= options.max_utilization + 1e-9; util += 0.02)
+      if (ir.max_drop_mv / (util * options.strap_pitch_um) <= budget_mv) break;
     util = std::min(util, options.max_utilization);
-    out.strap_width_um[tier] = util * spec.strap_pitch_um;
-    out.strap_pitch_um[tier] = spec.strap_pitch_um;
+    // Unit width -> the chosen width: every node drop scales as 1/W.
+    const double width = util * options.strap_pitch_um;
+    for (double& d : ir.node_drop_mv) d /= width;
+    ir.max_drop_mv /= width;
+    ir.mean_drop_mv /= width;
+    ir.drop_pct_of_vdd /= width;
+    out.strap_width_um[tier] = width;
+    out.strap_pitch_um[tier] = options.strap_pitch_um;
     out.utilization[tier] = util;
-    out.ir[tier] = best;
-    out.worst_ir_pct =
-        std::max(out.worst_ir_pct, best.max_drop_mv / (vdd_min * 1e3) * 100.0);
-    util::log_debug("pdn tier ", tier, ": U=", util, " drop ", best.max_drop_mv, " mV");
+    out.worst_ir_pct = std::max(out.worst_ir_pct, ir.max_drop_mv / (vdd_min * 1e3) * 100.0);
+    util::log_debug("pdn tier ", tier, ": U=", util, " drop ", ir.max_drop_mv, " mV");
+    out.ir[tier] = std::move(ir);
   }
   return out;
 }

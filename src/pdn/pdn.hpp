@@ -3,10 +3,12 @@
 // Power domains: the top (memory) die runs at 0.9 V; in the heterogeneous
 // stack the bottom (logic) die is a 0.81 V sub-domain behind level shifters.
 // The PDN is sized per tier: straps on the top metal layer at width W and
-// pitch P, chosen as the smallest utilization U = W/P whose worst IR drop
-// stays within the budget (10% of the lowest VDD, Table IV). Whatever
-// fraction of the top layer the PDN takes is subtracted from the router's
-// signal capacity — the resource the MLS nets compete for.
+// pitch P, chosen as the smallest utilization U = W/P on a 0.02 grid whose
+// worst IR drop stays within the budget (10% of the lowest VDD, Table IV).
+// The drop scales exactly as 1/W, so each tier takes one IR solve at unit
+// width and the whole utilization sweep is read off it. Whatever fraction of
+// the top layer the PDN takes is subtracted from the router's signal
+// capacity — the resource the MLS nets compete for.
 #pragma once
 
 #include "netlist/generators.hpp"
@@ -38,8 +40,22 @@ std::vector<double> power_density_map(const netlist::Design& design, const tech:
                                       const std::vector<route::NetRoute>& routes, int tier,
                                       int map_nx, int map_ny, const PowerOptions& options = {});
 
+// The inputs of one tier's IR solve: its PDN grid at unit strap width (the
+// tier's VDD and top-metal sheet resistance, options.strap_pitch_um) and its
+// power map.
+struct TierGrid {
+  PdnGridSpec spec;
+  std::vector<double> power_map_mw;
+  int map_nx = 48, map_ny = 48;
+};
+TierGrid tier_grid(const netlist::Design& design, const tech::Tech3D& tech,
+                   const std::vector<route::NetRoute>& routes, int tier,
+                   const PdnOptions& options);
+
 // Sizes the PDN per tier so IR drop meets the budget, starting from
-// min_utilization and widening straps until it fits (or max_utilization).
+// min_utilization and widening straps in 0.02 steps until it fits. When no
+// step fits, the tier saturates at max_utilization and reports its drop
+// there. Two IR solves per call, one per tier.
 PdnDesign synthesize_pdn(const netlist::Design& design, const tech::Tech3D& tech,
                          const std::vector<route::NetRoute>& routes,
                          const PdnOptions& options = {});

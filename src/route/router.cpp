@@ -121,8 +121,11 @@ void Router::reset_state(const std::vector<std::uint8_t>& mls_flags) {
 void Router::route_in_order(std::span<const Id> nets) {
   const EdgeCostModel model{grid_, tech_, options_, history_or_null()};
   // The distribution the mean hides: a handful of long congested edges
-  // dominate the tail while most route in sub-µs.
+  // dominate the tail while most route in sub-µs. Every kEdgeTimerStride-th
+  // edge is timed; two clock reads per edge cost 10-20% of the initial route.
   static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
+  constexpr std::size_t kEdgeTimerStride = 64;
+  std::size_t edge_seq = 0;
   for (const Id net : nets) {
     GNNMLS_FAULT_POINT("route.net");
     NetTopology topo = build_net_topology(design_, tech_, net);
@@ -135,10 +138,14 @@ void Router::route_in_order(std::span<const Id> nets) {
     for (std::size_t e = 0; e < ne; ++e) {
       const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
       const Terminal& b = topo.terms[e + 1];
-      const auto t0 = std::chrono::steady_clock::now();
-      edges[e] = route_edge(model, a, b, mls);
-      edge_s.observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+      if (edge_seq++ % kEdgeTimerStride == 0) {
+        const auto t0 = std::chrono::steady_clock::now();
+        edges[e] = route_edge(model, a, b, mls);
+        edge_s.observe(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+      } else {
+        edges[e] = route_edge(model, a, b, mls);
+      }
       tally.add(edges[e]);
       // Immediate commit: the next edge of this net (and every later net)
       // sees this edge's congestion — the Gauss-Seidel discipline.

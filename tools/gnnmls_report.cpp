@@ -3,15 +3,19 @@
 //
 //   gnnmls_report diff BASE [CUR] [--max-regress-pct N] [--abs-floor-ms M]
 //                 [--report-only]
-//       BASE/CUR are perf-ledger JSONL files (last record wins) or
-//       google-benchmark JSON files (auto-detected; benchmark names become
-//       stages). With one file, the last two records of that ledger are
-//       compared. Exit 1 when any shared stage regressed by more than
+//       BASE/CUR are perf-ledger JSONL files (last record wins),
+//       google-benchmark JSON files or perfbench result lines (auto-detected;
+//       benchmark names and perfbench times become stages). With one file,
+//       the last two records of that ledger are compared. Exit 1 when any shared stage regressed by more than
 //       --max-regress-pct percent (default 10) AND --abs-floor-ms (default
 //       0.5 ms) — the floor keeps µs-scale stages from flagging on noise.
 //
 //   gnnmls_report ingest BENCH.json --ledger FILE [--label L]
-//       Appends one "bench" ledger record built from the benchmark JSON.
+//       Appends one "bench" ledger record built from the benchmark JSON:
+//       google-benchmark output, or perfbench's result line (the last line
+//       run.py prints: {"metrics": {name: {value, unit}}, ...}). Every
+//       perfbench metric timed in ms or s becomes a stage in seconds; the
+//       rest (counts, ratios, %, quality) become gauges.
 //
 //   gnnmls_report check-routing BENCH_routing.json
 //   gnnmls_report check-ml BENCH_ml.json
@@ -76,8 +80,39 @@ bool bench_to_record(const Json& root, const std::string& label, LedgerRecord& o
   return !out.stages.empty();
 }
 
+// perfbench result line -> ledger record: each metric timed in ms or s (the
+// per-layer means, their setup.* copies, op_ms_mean, setup_s) becomes a
+// stage in seconds; every other metric, including quality figures in time
+// units such as sta.tns_ns, becomes a gauge in its own unit.
+bool perfbench_to_record(const Json& root, const std::string& label, LedgerRecord& out) {
+  const Json* metrics = root.find("metrics");
+  if (!metrics || metrics->kind != Json::kObject) return false;
+  out = LedgerRecord{};
+  out.kind = "bench";
+  out.label = label;
+  out.rev = gnnmls::util::env::git_rev();
+  for (const auto& [name, m] : metrics->members) {
+    if (m.kind != Json::kObject || m.find("value") == nullptr) continue;
+    const double value = m.num_or("value", 0.0);
+    const std::string_view unit = m.str_or("unit", "");
+    if (unit == "ms" || unit == "s")
+      out.stages[name] = value * time_unit_seconds(unit);
+    else
+      out.gauges[name] = value;
+  }
+  return !out.stages.empty() || !out.gauges.empty();
+}
+
+bool json_to_record(const Json& root, const std::string& label, LedgerRecord& out) {
+  if (root.kind != Json::kObject) return false;
+  if (root.find("benchmarks") != nullptr) return bench_to_record(root, label, out);
+  if (root.find("metrics") != nullptr) return perfbench_to_record(root, label, out);
+  return false;
+}
+
 // A file is either google-benchmark JSON (whole-file object with
-// "benchmarks") or a perf-ledger JSONL; `which` picks the record for diff.
+// "benchmarks"), a perfbench result line (an object with "metrics") or a
+// perf-ledger JSONL; `back_index` picks the ledger record for diff.
 bool load_record(const std::string& path, int back_index, LedgerRecord& out) {
   std::string text;
   if (!read_file(path, text)) {
@@ -85,9 +120,7 @@ bool load_record(const std::string& path, int back_index, LedgerRecord& out) {
     return false;
   }
   Json root;
-  if (gnnmls::util::parse_json(text, root) && root.kind == Json::kObject &&
-      root.find("benchmarks") != nullptr)
-    return bench_to_record(root, path, out);
+  if (gnnmls::util::parse_json(text, root) && json_to_record(root, path, out)) return true;
   const std::vector<LedgerRecord> records = gnnmls::obs::read_jsonl(path);
   const std::size_t n = records.size();
   if (n <= static_cast<std::size_t>(back_index)) {
@@ -166,23 +199,24 @@ int cmd_ingest(const std::vector<std::string>& args) {
     return 2;
   }
   LedgerRecord rec;
-  if (!bench_to_record(root, label.empty() ? bench_path : label, rec)) {
-    std::fprintf(stderr, "gnnmls_report: %s has no benchmarks\n", bench_path.c_str());
+  if (!json_to_record(root, label.empty() ? bench_path : label, rec)) {
+    std::fprintf(stderr, "gnnmls_report: %s has no benchmarks or metrics\n", bench_path.c_str());
     return 2;
   }
   // Stamp the record through make_record for the utc field, keeping the
-  // bench stages (a bench process's obs counters are not the flow's).
+  // bench stages and gauges (a bench process's obs counters are not the
+  // flow's).
   LedgerRecord stamped = gnnmls::obs::make_record("bench", rec.label);
   stamped.counters.clear();
-  stamped.gauges.clear();
   stamped.hists.clear();
   stamped.stages = rec.stages;
+  stamped.gauges = rec.gauges;
   if (!gnnmls::obs::append_jsonl(ledger_path, stamped)) {
     std::fprintf(stderr, "gnnmls_report: cannot append to %s\n", ledger_path.c_str());
     return 2;
   }
-  std::printf("ingested %zu benchmark(s) from %s into %s\n", stamped.stages.size(),
-              bench_path.c_str(), ledger_path.c_str());
+  std::printf("ingested %zu stage(s) and %zu gauge(s) from %s into %s\n", stamped.stages.size(),
+              stamped.gauges.size(), bench_path.c_str(), ledger_path.c_str());
   return 0;
 }
 
