@@ -107,7 +107,7 @@ void BM_StaFullRun(benchmark::State& st) {
 }
 BENCHMARK(BM_StaFullRun)->Unit(benchmark::kMillisecond);
 
-// Dirty-net set for the incremental cases: a spread of mid-sized nets, the
+// Dirty-net set for the ECO repair case: a spread of mid-sized nets, the
 // shape of what a DFT insertion or local ECO touches.
 std::vector<netlist::Id> pick_dirty_nets(const netlist::Netlist& nl, std::size_t count) {
   std::vector<netlist::Id> dirty;
@@ -121,26 +121,12 @@ void BM_RerouteEco(benchmark::State& st) {
   f.router().route_all({});
   const std::vector<netlist::Id> dirty =
       pick_dirty_nets(f.design().nl, static_cast<std::size_t>(st.range(0)));
-  for (auto _ : st)
-    benchmark::DoNotOptimize(f.router().reroute_nets(dirty, route::RerouteMode::kEco));
+  for (auto _ : st) benchmark::DoNotOptimize(f.router().reroute_nets(dirty));
   st.counters["nets/s"] = benchmark::Counter(
       static_cast<double>(dirty.size()) * static_cast<double>(st.iterations()),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_RerouteEco)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
-
-void BM_StaIncremental(benchmark::State& st) {
-  auto& f = *state().flow;
-  f.router().route_all({});
-  f.sta().run(400.0, 40.0);
-  const std::vector<netlist::Id> dirty =
-      pick_dirty_nets(f.design().nl, static_cast<std::size_t>(st.range(0)));
-  for (auto _ : st) benchmark::DoNotOptimize(f.sta().update(dirty));
-  st.counters["pins/s"] = benchmark::Counter(
-      static_cast<double>(f.design().nl.num_pins()) * static_cast<double>(st.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_StaIncremental)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_TrialRoute(benchmark::State& st) {
   auto& f = *state().flow;

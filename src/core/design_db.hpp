@@ -13,9 +13,10 @@
 //   * Staleness is decidable, not heuristic: a stage is fresh() iff its
 //     whole upstream chain is unchanged since it was committed, and RT-005
 //     becomes a revision comparison instead of an array-size guess.
-//   * Incremental ECO: the dirty-net set (fed from the netlist's mutation
-//     journal or touch_nets()) is exactly what Router::reroute_nets() and
-//     TimingGraph::update() need to repair only what changed.
+//   * Incremental netlist ECO: the dirty-net set (fed from the netlist's
+//     mutation journal or touch_nets()) is exactly what
+//     Router::reroute_nets() needs to repair only what changed. Any other
+//     routing staleness is a full route.
 #pragma once
 
 #include <array>
@@ -96,15 +97,14 @@ class DesignDB {
   // (buffering, level shifters, scan/DFT insertion), so absorbing their
   // journal also re-declares the placement stage current; a dedicated
   // placement pass would take that commit over. No-op when nothing is
-  // pending. The route pass calls this before deciding between full,
-  // replay, and ECO routing.
+  // pending. The route pass calls this before deciding between a full
+  // route and an ECO repair.
   void absorb_journal();
   // Sorted, deduplicated.
   const std::vector<netlist::Id>& dirty_nets() const {
     audit_note_read(Stage::kRoutes);
     return dirty_;
   }
-  bool dirty() const { return !dirty_.empty(); }
   std::vector<netlist::Id> take_dirty_nets();
 
   // ---- artifacts ---------------------------------------------------------
@@ -121,7 +121,6 @@ class DesignDB {
   // Non-rebuilding view for read-only consumers (checker, corpus): null
   // until built, and null again once the netlist left it behind.
   const sta::TimingGraph* timing_if_fresh() const;
-  sta::TimingGraph* timing_if_fresh();
 
   void set_power(const pdn::PowerReport& report) {
     audit_note_write(Stage::kPower);
@@ -149,36 +148,20 @@ class DesignDB {
   }
   // Replaces the per-net MLS decision vector, touching every net whose flag
   // actually changed (absent entries count as 0). A flag flip therefore
-  // dirties exactly the nets it affects, routing staleness falls out of the
-  // ordinary fresh(kRoutes) rule, and the route pass repairs the change
-  // with a bit-exact suffix replay instead of a from-scratch route_all.
+  // makes the routes stale through the ordinary fresh(kRoutes) rule, and
+  // the route pass answers it with a full route_all under the new flags
+  // (then a full STA run): a flag flip is a new routing, not an ECO.
   void set_mls_flags(std::vector<std::uint8_t> flags);
   const std::vector<std::uint8_t>& mls_flags() const { return mls_flags_; }
 
   // ---- stage result caches ----------------------------------------------
   // Summaries of the last routing / STA commits, kept so that an evaluate()
   // whose passes were all skipped can still assemble its metrics row from
-  // the DB alone. `incremental` marks a reroute_nets() result, whose
-  // changed_nets list is the exact dirty set for TimingGraph::update(); the
-  // STA pass consumes it (set_sta_result clears the delta) so a stale list
-  // can never feed a later incremental update.
-  void set_route_summary(const route::RouteSummary& summary, bool incremental);
+  // the DB alone.
+  void set_route_summary(const route::RouteSummary& summary);
   const route::RouteSummary* route_summary() const {
     audit_note_read(Stage::kRoutes);
     return route_summary_ ? &*route_summary_ : nullptr;
-  }
-  struct RouteDelta {
-    bool valid = false;  // true only between an incremental route and the next STA
-    std::vector<netlist::Id> changed;
-    // Edge-granular view of the same delta: the exact 2-pin tree edges whose
-    // routed values changed, as reported by Router::reroute_nets. Every edge's
-    // net appears in `changed`; consumers that only need net granularity can
-    // ignore this list.
-    std::vector<route::EdgeRef> changed_edges;
-  };
-  const RouteDelta& route_delta() const {
-    audit_note_read(Stage::kRoutes);
-    return route_delta_;
   }
   void set_sta_result(const sta::StaResult& result);
   const sta::StaResult* sta_result() const {
@@ -193,26 +176,19 @@ class DesignDB {
   // a pass that failed mid-write leaves the DB bit-identical (by
   // state_fingerprint) to the pre-dispatch state. Timing is the one derived
   // artifact restored by dropping: the graph's value arrays are a cache of
-  // run(), so a rolled-back STA simply rebuilds (bit-identical results, the
-  // incremental-equivalence tests enforce it) instead of deep-copying the
-  // arrays.
+  // run(), so a rolled-back STA simply rebuilds (bit-identical results)
+  // instead of deep-copying the arrays. A snapshot is restored into the DB
+  // it was taken from: the revision counter only moves forward, so the
+  // restored tags can never alias a later commit.
   struct Snapshot {
     std::vector<Stage> stages;
     std::array<StageTag, kNumStages> tags{};
-    // Revision-counter watermark at capture time. restore() advances the
-    // target DB's counter to at least this value: restoring into a *different*
-    // DB (a warm fork of another flow) must not let the fork's next commit
-    // reissue a revision number the captured tags already hold, or a stale
-    // stage could alias a fresh built_from link. In-place rollback is
-    // unaffected (the counter there is already past the watermark).
-    std::uint64_t counter = 0;
     std::vector<netlist::Id> dirty;
     std::size_t journal_cursor = 0;
     std::vector<std::uint8_t> mls_flags;  // always captured (cheap, any pass may flip)
     std::optional<netlist::Design> design;          // kNetlist / kPlacement / kTest
     std::optional<route::Router::Checkpoint> router;  // kRoutes, if built
     std::optional<route::RouteSummary> route_summary;
-    RouteDelta route_delta;
     std::optional<sta::StaResult> sta_result;       // kTiming
     std::uint64_t sta_built_at = 0;
     std::optional<pdn::PowerReport> power;          // kPower
@@ -272,7 +248,6 @@ class DesignDB {
   std::optional<dft::TestModel> test_model_;
   std::vector<std::uint8_t> mls_flags_;
   std::optional<route::RouteSummary> route_summary_;
-  RouteDelta route_delta_;
   std::optional<sta::StaResult> sta_result_;
   // Mid-write markers, one per stage. Atomic because passes in the same wave
   // bracket their disjoint write stages from different executor threads.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "audit/contract_audit.hpp"
@@ -146,9 +145,9 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
     pre_revs.reserve(wave_writes.size());
     for (const core::Stage s : wave_writes)
       pre_revs.push_back(ctx.db.tag(s).revision);
-    std::optional<core::DesignDB::Snapshot> snap;
+    core::DesignDB::Snapshot snap;
     std::uint64_t pre_fp = 0;
-    if (ft.transactional) {
+    {
       // Charged to tx_s (and the flow.tx span): this is manager overhead,
       // not any pass's work, but it is real wall-clock the stage breakdown
       // must account for — the snapshot scales with the routing state.
@@ -160,7 +159,7 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
           std::chrono::duration<double>(std::chrono::steady_clock::now() - tx0).count();
       static obs::Histogram& snap_bytes =
           obs::Metrics::instance().histogram("flow.snapshot_bytes");
-      snap_bytes.observe(static_cast<double>(snap->approx_bytes()));
+      snap_bytes.observe(static_cast<double>(snap.approx_bytes()));
     }
 
     std::size_t attempt = 0;
@@ -289,22 +288,14 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
       if (!dumped.empty())
         util::log_warn("flow: flight-recorder dump written to ", dumped);
 
-      if (!ft.transactional) {
-        // Legacy mode: no rollback, rethrow the lowest-indexed failure
-        // unwrapped... except it is already wrapped; keep pre-FT observable
-        // behavior by rethrowing the original exception_ptr.
-        for (const std::exception_ptr& e : errors)
-          if (e) std::rethrow_exception(e);
-      }
-
       const auto tx0 = std::chrono::steady_clock::now();
-      ctx.db.restore(*snap);
+      ctx.db.restore(snap);
       const std::uint64_t post_fp = ctx.db.state_fingerprint();
       ctx.metrics.tx_s +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() - tx0).count();
       static obs::Histogram& restore_bytes =
           obs::Metrics::instance().histogram("flow.restore_bytes");
-      restore_bytes.observe(static_cast<double>(snap->approx_bytes()));
+      restore_bytes.observe(static_cast<double>(snap.approx_bytes()));
       obs::FlightRecorder::instance().record(obs::EventKind::kRollback, failures.front().pass(),
                                              wave_no, post_fp);
       RollbackRecord rb;

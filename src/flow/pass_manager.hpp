@@ -79,17 +79,15 @@ class PassManager {
   // this invocation (also retained as last_report()). The fingerprint ledger
   // for pure-read passes persists across invocations, keyed by pass name.
   //
-  // Failure semantics (governed by ft::resolve(ctx.config.ft)):
-  //   * transactional (default): before each wave the union of its write
-  //     stages is snapshotted; if any pass throws, every failure is wrapped
-  //     into an ft::FlowError, the snapshot is restored (DB bit-identical to
-  //     pre-wave by state_fingerprint), and — when every failure is
-  //     retryable and the retry budget allows — the wave re-dispatches after
-  //     a deterministic backoff. Exhausted budgets throw
-  //     ft::AggregateFlowError carrying ALL wave failures; last_report()
-  //     keeps the FailureRecords and RollbackRecords either way.
-  //   * GNNMLS_FT=off: legacy behavior — no snapshot, the lowest-indexed
-  //     failing pass's exception rethrown as-is after the wave drains.
+  // Failure semantics (retry budget and backoff from
+  // ft::resolve(ctx.config.ft)): before each wave the union of its write
+  // stages is snapshotted; if any pass throws, every failure is wrapped into
+  // an ft::FlowError, the snapshot is restored (DB bit-identical to pre-wave
+  // by state_fingerprint), and — when every failure is retryable and the
+  // retry budget allows — the wave re-dispatches after a deterministic
+  // backoff. Exhausted budgets throw ft::AggregateFlowError carrying ALL
+  // wave failures; last_report() keeps the FailureRecords and
+  // RollbackRecords either way.
   const RunReport& run(const std::vector<Pass*>& pipeline, PassContext& ctx);
 
   const RunReport& last_report() const { return report_; }

@@ -35,9 +35,9 @@ struct FlowConfig {
   // default: benches measure the flow, not the auditor.
   bool strict_checks = false;
   check::CheckOptions checks;
-  // Fault-tolerance policy (src/ft/): transactional rollback, retry budget,
-  // deterministic backoff, per-pass wall-clock budget. Environment knobs
-  // (GNNMLS_FT, GNNMLS_MAX_RETRIES, ...) override these at run() time via
+  // Fault-tolerance policy (src/ft/): retry budget, deterministic backoff,
+  // per-pass wall-clock budget (failed waves always roll back). Environment
+  // knobs (GNNMLS_MAX_RETRIES, ...) override these at run() time via
   // ft::resolve().
   ft::FtOptions ft;
   // Contract audit (src/audit/ layer 2): record each pass's actual DesignDB

@@ -11,7 +11,6 @@ namespace gnnmls::ft {
 FtOptions resolve(const FtOptions& base) {
   using util::env::Knob;
   FtOptions out = base;
-  out.transactional = base.transactional && util::env::flag(Knob::kFt, true);
   out.max_retries = util::env::integer(Knob::kMaxRetries, base.max_retries);
   out.backoff_base_ms = util::env::real(Knob::kBackoffMs, base.backoff_base_ms);
   out.pass_budget_s = util::env::real(Knob::kPassBudgetS, base.pass_budget_s);

@@ -1,16 +1,15 @@
 // Recovery policy knobs for transactional pass execution.
 //
-// The PassManager consults one FtOptions per run: whether failed waves are
-// rolled back at all, how many times an all-retryable wave failure is
-// retried, the deterministic backoff between attempts, and the per-pass
+// The PassManager consults one FtOptions per run: how many times an
+// all-retryable wave failure is retried (a failed wave is always rolled
+// back), the deterministic backoff between attempts, and the per-pass
 // wall-clock budget the watchdog converts into retryable timeouts. The
 // struct lives here (not in flow/types.hpp) so low-level layers can reason
 // about policies without pulling in the flow configuration; FlowConfig
 // embeds one.
 //
 // Env overrides (util/env.hpp; resolved per run, so a wrapper script can
-// harden or relax a flow without a recompile): GNNMLS_FT=off disables
-// transactions + recovery (legacy rethrow); GNNMLS_MAX_RETRIES,
+// harden or relax a flow without a recompile): GNNMLS_MAX_RETRIES,
 // GNNMLS_BACKOFF_MS and GNNMLS_PASS_BUDGET_S override the fields below.
 #pragma once
 
@@ -19,10 +18,6 @@
 namespace gnnmls::ft {
 
 struct FtOptions {
-  // Snapshot each wave's write-set stages and roll them back on failure.
-  // When off, the manager keeps the pre-FT behavior: no snapshot, first
-  // error rethrown as-is.
-  bool transactional = true;
   // How many times a wave whose every failure is retryable re-runs before
   // the AggregateFlowError propagates.
   int max_retries = 2;

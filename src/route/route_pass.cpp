@@ -22,11 +22,11 @@ void RoutePass::run(flow::PassContext& ctx) {
   Router& router = db.router(ctx.config.router);
   const std::vector<std::uint8_t>& flags = db.mls_flags();
 
+  // A never-routed design (routed revision 0) takes the full route below.
+  const bool netlist_moved =
+      router.routed_revision() != 0 && db.design().nl.revision() != router.routed_revision();
   RouteSummary rs;
-  bool incremental = false;
-  if (router.routed_revision() == 0) {
-    rs = router.route_all(flags);
-  } else if (db.design().nl.revision() != router.routed_revision()) {
+  if (netlist_moved) {
     // The netlist moved (ECO): minimal rip-up of the dirty nets, keeping the
     // surviving grid state. Nets added since the last route are implicitly
     // dirty inside reroute_nets. Degradation policy: if the ECO repair dies
@@ -35,8 +35,7 @@ void RoutePass::run(flow::PassContext& ctx) {
     const std::vector<netlist::Id> dirty = db.take_dirty_nets();
     try {
       GNNMLS_FAULT_POINT("route.eco");
-      rs = router.reroute_nets(dirty, flags, RerouteMode::kEco);
-      incremental = true;
+      rs = router.reroute_nets(dirty, flags);
     } catch (const std::exception& e) {
       util::log_warn("route pass: ECO reroute failed (", e.what(),
                      "); degrading to full route_all");
@@ -46,16 +45,12 @@ void RoutePass::run(flow::PassContext& ctx) {
       obs::FlightRecorder::instance().record(obs::EventKind::kDegrade, "route.full_reroute");
       ft::dump_black_box({}, 0, 0, std::string("route ECO degraded to full route: ") + e.what());
       rs = router.route_all(flags);
-      incremental = false;
     }
-  } else if (db.dirty()) {
-    // Same netlist, local changes (flag flips, touched pins): replay, a
-    // from-scratch route_all under the new flags plus the exact value diff.
-    const std::vector<netlist::Id> dirty = db.take_dirty_nets();
-    rs = router.reroute_nets(dirty, flags, RerouteMode::kReplay);
-    incremental = true;
   } else {
-    // Stage invalidated outright with nothing dirty: route from scratch.
+    // Same netlist: a first route, an MLS flag flip, a touched net or an
+    // invalidated stage. Each is a complete routing under the current
+    // flags (the paper's No-MLS / SOTA / GNN-MLS rows are three full
+    // routings of one placed design); commit(kRoutes) clears the dirty set.
     rs = router.route_all(flags);
   }
   // Negotiation that overran its watchdog budget stopped early on a legal
@@ -71,7 +66,7 @@ void RoutePass::run(flow::PassContext& ctx) {
                                            static_cast<std::uint64_t>(ft::ErrorCode::kTimeout));
   }
   GNNMLS_FAULT_POINT("route.commit");
-  db.set_route_summary(rs, incremental);
+  db.set_route_summary(rs);
   db.commit(core::Stage::kRoutes);
   ctx.metrics.route_s += span.seconds();
 }

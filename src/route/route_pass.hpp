@@ -1,13 +1,14 @@
 // RoutePass: the routing stage as a schedulable flow pass.
 //
-// Reads {netlist, placement}, writes {routes, placement}. The incremental-
-// ECO story lives entirely in run()'s dispatch: a never-routed design gets
-// route_all, a netlist that moved since the last route gets a minimal-
-// rip-up ECO over the dirty set, and a same-netlist change (an MLS flag
-// flip, a touched pin) gets a bit-exact replay. Callers never pick a
-// mode. The kPlacement write is absorb_journal()'s placement re-commit when
-// an external ECO left journal entries pending (mutators place their own
-// cells); the contract audit flagged the old {routes}-only declaration.
+// Reads {netlist, placement}, writes {routes, placement}. run() has two
+// branches: a netlist that moved since the last route gets the minimal-
+// rip-up ECO repair (Router::reroute_nets) over the dirty set, and
+// everything else — a first route, an MLS flag flip, a touched net, an
+// invalidated stage — gets a full route_all under the current flags.
+// Callers never pick a branch. The kPlacement write is absorb_journal()'s
+// placement re-commit when an external ECO left journal entries pending
+// (mutators place their own cells); the contract audit flagged the old
+// {routes}-only declaration.
 #pragma once
 
 #include <memory>

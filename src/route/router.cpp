@@ -37,17 +37,6 @@ struct RouteCounters {
 using netlist::Id;
 using netlist::kNullId;
 
-// Value equality of two routed results, used by reroute_nets to report which
-// nets actually moved (exact compare: a rerouted net that sees the identical
-// congestion state must reproduce the identical route).
-bool net_route_equal(const NetRoute& a, const NetRoute& b) {
-  return a.wl_um == b.wl_um && a.res_ohm == b.res_ohm && a.cap_ff == b.cap_ff &&
-         a.load_ff == b.load_ff && a.detour == b.detour &&
-         a.layers_used[0] == b.layers_used[0] && a.layers_used[1] == b.layers_used[1] &&
-         a.f2f_vias == b.f2f_vias && a.mls_applied == b.mls_applied &&
-         a.worst_overflow == b.worst_overflow && a.sink_elmore_ps == b.sink_elmore_ps;
-}
-
 // Tallies the per-edge observability counts of one net's routed edges.
 struct EdgeTally {
   std::uint64_t candidates = 0, routed = 0, fallbacks = 0, f2f = 0;
@@ -65,25 +54,6 @@ struct EdgeTally {
     if (committed && f2f) rc.f2f_committed.add(f2f);
   }
 };
-
-// Appends one net's value diff to the summary's delta lists. Every edge
-// that moved is listed; edges present on only one side (topology grew or
-// shrank) count as moved. The net is listed iff its electrical value moved
-// OR any of its edges did: an edge can move between equal-cost cells
-// without shifting the net totals, but its grid footprint still changed, so
-// the changed_edges ⊆ changed_nets contract must count the net.
-void diff_net(Id net, const NetRoute& before, const std::vector<EdgeRoute>& before_edges,
-              const NetRoute& after, const std::vector<EdgeRoute>& after_edges,
-              RouteSummary& summary) {
-  const std::size_t listed = summary.changed_edges.size();
-  const std::size_t n = std::max(before_edges.size(), after_edges.size());
-  for (std::size_t e = 0; e < n; ++e)
-    if (e >= before_edges.size() || e >= after_edges.size() ||
-        !(before_edges[e] == after_edges[e]))
-      summary.changed_edges.push_back(EdgeRef{net, static_cast<std::uint32_t>(e)});
-  if (!net_route_equal(before, after) || summary.changed_edges.size() != listed)
-    summary.changed_nets.push_back(net);
-}
 
 }  // namespace
 
@@ -241,8 +211,7 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
 }
 
 RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
-                                  const std::vector<std::uint8_t>& mls_flags,
-                                  RerouteMode mode) {
+                                  const std::vector<std::uint8_t>& mls_flags) {
   GNNMLS_SPAN("route.reroute_nets");
   const netlist::Netlist& nl = design_.nl;
   const std::size_t n = nl.num_nets();
@@ -250,38 +219,8 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
 
   // Dirty set: the caller's nets plus everything added since the last route.
   std::vector<std::uint8_t> is_dirty(n, 0);
-  bool any_dirty = n > old_n;
   for (const Id d : dirty)
-    if (d < n) {
-      is_dirty[d] = 1;
-      any_dirty = true;
-    }
-
-  if (mode == RerouteMode::kReplay) {
-    if (!any_dirty) return summarize();  // nothing dirty: exact no-op
-    // Bit-exact repair = full deterministic re-run under the new flags; the
-    // summary carries the exact value diff against the previous state. (See
-    // the RerouteMode::kReplay comment for why the suffix-replay shortcut
-    // no longer exists under negotiation.)
-    std::vector<NetRoute> before_routes = std::move(routes_);
-    std::vector<std::vector<EdgeRoute>> before_edges = std::move(edge_routes_);
-    {
-      RouteCounters& rc = RouteCounters::get();
-      rc.rip_ups.add(n);
-      rc.eco_reroutes.add(1);
-    }
-    RouteSummary summary = route_all(mls_flags);
-    // Nets added since the previous route diff against an empty route.
-    before_routes.resize(n);
-    before_edges.resize(n);
-    for (Id i = 0; i < n; ++i)
-      diff_net(i, before_routes[i], before_edges[i], routes_[i], edge_routes_[i], summary);
-    util::log_debug("router: replay rerouted ", n, " nets (", summary.changed_nets.size(),
-                    " changed), WL ", summary.total_wl_m, " m");
-    return summary;
-  }
-
-  // ---- kEco: minimal rip-up against the surviving state -------------------
+    if (d < n) is_dirty[d] = 1;
   routes_.resize(n);
   topo_.resize(n);
   edge_routes_.resize(n);
@@ -299,15 +238,6 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   // The repair order is the route order restricted to the dirty set.
   sort_route_order(affected);
 
-  std::vector<NetRoute> before;
-  std::vector<std::vector<EdgeRoute>> before_edges;
-  before.reserve(affected.size());
-  before_edges.reserve(affected.size());
-  for (const Id i : affected) {
-    before.push_back(routes_[i]);
-    before_edges.push_back(edge_routes_[i]);
-  }
-
   {
     RouteCounters& rc = RouteCounters::get();
     rc.rip_ups.add(affected.size());
@@ -317,18 +247,13 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   route_in_order(affected);
   routed_revision_ = nl.revision();
 
-  RouteSummary summary = summarize();
-  for (std::size_t k = 0; k < affected.size(); ++k) {
-    const Id i = affected[k];
-    diff_net(i, before[k], before_edges[k], routes_[i], edge_routes_[i], summary);
-  }
-  util::log_debug("router: rerouted ", affected.size(), " nets (", summary.changed_nets.size(),
-                  " changed), WL ", summary.total_wl_m, " m");
+  const RouteSummary summary = summarize();
+  util::log_debug("router: rerouted ", affected.size(), " nets, WL ", summary.total_wl_m, " m");
   return summary;
 }
 
-RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty, RerouteMode mode) {
-  return reroute_nets(dirty, mls_flags_, mode);
+RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty) {
+  return reroute_nets(dirty, mls_flags_);
 }
 
 Router::Checkpoint Router::checkpoint() const {

@@ -13,8 +13,9 @@
 //      congestion costs until overflow converges or an iteration cap hits
 //      (route/negotiate.hpp).
 //
-// max_negotiation_iters = 0 stops after phase 1. The ECO repair
-// (reroute_nets, kEco) re-runs phase 1's in-order loop over the dirty nets.
+// max_negotiation_iters = 0 stops after phase 1. The netlist-ECO repair
+// (reroute_nets) re-runs phase 1's in-order loop over the dirty nets only;
+// every other change, an MLS flag flip included, is a full route_all.
 // Results are bit-identical at any thread count: phase 1 is single-
 // threaded, and negotiation workers only compute edge routes from frozen
 // snapshots into disjoint slots, with every grid commit made serially in
@@ -104,44 +105,12 @@ struct RouteSummary {
   std::size_t mls_nets = 0;   // nets routed with shared layers
   std::size_t f2f_pairs = 0;  // F2F via count
   RoutingGrid::Census census;
-  // Delta contract: changed_nets/changed_edges are filled ONLY by
-  // reroute_nets() — the nets (and the 2-pin edges within them) whose
-  // routed value actually changed; a rerouted net that lands on an
-  // identical route is not listed. Feed changed_nets to
-  // TimingGraph::update(). After route_all() BOTH lists are empty by
-  // definition: a full route is a full invalidation, not a delta, and the
-  // route pass records it with DesignDB::RouteDelta::valid == false so no
-  // downstream consumer can mistake "empty" for "nothing changed".
-  // (Pinned by RouterDelta.RouteAllReportsNoDeltaRerouteReportsExact.)
-  std::vector<netlist::Id> changed_nets;
-  std::vector<EdgeRef> changed_edges;
   // Negotiation statistics of the producing route_all (0 when negotiation
   // is off and for reroute_nets' ECO repairs).
   std::size_t negotiation_iters = 0;
   std::size_t negotiation_ripups = 0;
   // negotiation_budget_s cut the negotiation loop short.
   bool budget_exhausted = false;
-};
-
-// How reroute_nets repairs the routing state after an ECO.
-enum class RerouteMode {
-  // Minimal rip-up: only the dirty (and any brand-new) nets are ripped up
-  // and re-routed, with route_all's in-order loop, against the surviving
-  // congestion state (and the surviving history surface, if any). Fast —
-  // cost scales with the dirty set — but the result can differ from a
-  // from-scratch route_all because rerouted nets see congestion out of
-  // order. This is the ECO mode for netlist-changing passes (DFT/scan
-  // insertion), where from-scratch equivalence is undefined anyway.
-  kEco,
-  // Bit-exact with route_all: the routing state is rebuilt by a full
-  // deterministic re-run under the new flags and the summary reports the
-  // exact value diff against the previous state. (The pre-negotiation
-  // engine replayed only the order suffix after the first dirty net; a
-  // negotiated result has no such suffix structure, so replay mode now
-  // re-runs the whole engine — equivalence with route_all holds by
-  // construction and the incremental-equivalence property test enforces
-  // it.) Requires an unchanged netlist.
-  kReplay,
 };
 
 class Router {
@@ -154,15 +123,19 @@ class Router {
   // routing state, including the negotiation history.
   RouteSummary route_all(const std::vector<std::uint8_t>& mls_flags);
 
-  // Incremental repair after `dirty` nets changed (connectivity, placement
-  // of their pins, or their MLS flag). Nets added to the netlist since the
-  // last route are implicitly dirty. `mls_flags` replaces the stored
+  // ECO repair after a netlist change: only the `dirty` nets (and any net
+  // added since the last route) are ripped up and re-routed, with
+  // route_all's in-order loop, against the surviving congestion state (and
+  // the surviving history surface, if any). Cost scales with the dirty set,
+  // but the result can differ from a from-scratch route_all because the
+  // rerouted nets see congestion out of order — fine for netlist-changing
+  // passes (DFT/scan insertion, buffer splices), where from-scratch
+  // equivalence is undefined anyway. A flag flip on an unchanged netlist is
+  // a full route_all, not a repair. `mls_flags` replaces the stored
   // decision vector; the overload without it keeps the previous decisions.
   RouteSummary reroute_nets(std::span<const netlist::Id> dirty,
-                            const std::vector<std::uint8_t>& mls_flags,
-                            RerouteMode mode = RerouteMode::kEco);
-  RouteSummary reroute_nets(std::span<const netlist::Id> dirty,
-                            RerouteMode mode = RerouteMode::kEco);
+                            const std::vector<std::uint8_t>& mls_flags);
+  RouteSummary reroute_nets(std::span<const netlist::Id> dirty);
 
   // Netlist revision the current routes were built against (0 = never
   // routed). The RT-005 check compares this with design.nl.revision() to

@@ -1,12 +1,10 @@
 // StaPass: static timing as a schedulable flow pass.
 //
-// Reads {netlist, routes}, writes {timing}. When the previous route was
-// incremental (the DB holds a valid RouteDelta) and the timing graph still
-// matches the netlist, the pass repairs timing with TimingGraph::update()
-// over exactly the changed nets — bit-identical to a full run() at the same
-// clock. Any other staleness (netlist moved, first run) takes the full
-// rebuild-and-run path. The result lands in the DB's StaResult cache so a
-// later all-skipped evaluate can still report WNS/TNS.
+// Reads {netlist, routes}, writes {timing}. Every run is a full forward/
+// backward propagation (TimingGraph::run); the graph's pin topology is
+// rebuilt first when the netlist moved since it was built. A flag flip or
+// a netlist ECO re-times the whole design. The result lands in the DB's
+// StaResult cache so a later all-skipped evaluate can still report WNS/TNS.
 #pragma once
 
 #include <memory>

@@ -12,7 +12,6 @@ constexpr KnobInfo kKnobs[] = {
     {Knob::kThreads, "GNNMLS_THREADS", "1",
      "worker threads: pass waves, routing negotiation, inference", 1.0, 64.0},
     {Knob::kAudit, "GNNMLS_AUDIT", "off", "1/on runs the DesignDB access audit like --audit"},
-    {Knob::kFt, "GNNMLS_FT", "on", "0/off disables transactional rollback and retries"},
     {Knob::kMaxRetries, "GNNMLS_MAX_RETRIES", "2", "retry budget per failed wave", 0.0,
      std::numeric_limits<int>::max()},
     {Knob::kBackoffMs, "GNNMLS_BACKOFF_MS", "0", "retry backoff base in ms (x * 2^attempt)"},

@@ -22,7 +22,7 @@
 namespace gnnmls::util::env {
 
 enum class Knob : std::uint8_t {
-  kThreads, kAudit, kFt, kMaxRetries, kBackoffMs, kPassBudgetS,
+  kThreads, kAudit, kMaxRetries, kBackoffMs, kPassBudgetS,
   kFault, kFlightOut, kTrace, kLogLevel, kSimd, kGitRev,
 };
 

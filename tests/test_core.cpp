@@ -1,8 +1,8 @@
 // Tests for the versioned DesignDB core: stage revisions, freshness,
 // invalidation cascades, the dirty-net set, the netlist mutation journal,
 // the flow-level behaviors built on them (timing-graph rebuild on netlist
-// change, RT-005 as a revision comparison), and warm forks: snapshots
-// restored across DBs, also from concurrent threads.
+// change, RT-005 as a revision comparison), and private flows mutated and
+// evaluated from concurrent threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,17 +135,17 @@ TEST(DesignDB, DirtySetIsSortedDedupedAndGatesRouteFreshness) {
 
   const Id nets[] = {1, 0, 1, 1, 0};
   db.touch_nets(nets);
-  EXPECT_TRUE(db.dirty());
+  EXPECT_FALSE(db.dirty_nets().empty());
   EXPECT_EQ(db.dirty_nets(), (std::vector<Id>{0, 1}));
   EXPECT_FALSE(db.fresh(Stage::kRoutes));  // dirty nets = routes not fresh
 
   const std::vector<Id> taken = db.take_dirty_nets();
   EXPECT_EQ(taken, (std::vector<Id>{0, 1}));
-  EXPECT_FALSE(db.dirty());
+  EXPECT_TRUE(db.dirty_nets().empty());
 
   db.touch_net(1);
   db.commit(Stage::kRoutes);  // a route commit absorbs the dirty set
-  EXPECT_FALSE(db.dirty());
+  EXPECT_TRUE(db.dirty_nets().empty());
   EXPECT_TRUE(db.fresh(Stage::kRoutes));
 }
 
@@ -168,9 +168,9 @@ TEST(DesignDB, JournalMarkTurnsMutationsIntoDirtyNets) {
   // no-op, and a mark past the end is tolerated.
   db.take_dirty_nets();
   db.touch_journal_since(db.journal_mark());
-  EXPECT_FALSE(db.dirty());
+  EXPECT_TRUE(db.dirty_nets().empty());
   db.touch_journal_since(db.journal_mark() + 100);
-  EXPECT_FALSE(db.dirty());
+  EXPECT_TRUE(db.dirty_nets().empty());
 }
 
 TEST(NetlistJournal, MutatorsBumpRevisionAndRecordNets) {
@@ -268,24 +268,13 @@ TEST(FlowDB, Rt005FiresOnRevisionNotJustSize) {
   EXPECT_TRUE(again.clean()) << again.render();
 }
 
-// ---- warm forks: snapshots restored across DBs ---------------------------
+// ---- concurrent forks ------------------------------------------------------
 
-// The state every fork starts from: maeri16 evaluated without MLS, with
-// every stage captured.
-DesignDB::Snapshot warm_baseline() {
-  static constexpr Stage kAll[] = {Stage::kNetlist, Stage::kPlacement, Stage::kRoutes,
-                                   Stage::kTiming, Stage::kPower, Stage::kPdn, Stage::kTest};
-  mls::DesignFlow base = make_flow();
-  base.evaluate_no_mls();
-  return base.db().snapshot(kAll);
-}
-
-// A private flow over a fresh copy of the raw design, warmed by restoring
-// the baseline snapshot. prepare() is deterministic, so the snapshot's
-// design matches the one the fork just prepared.
-std::unique_ptr<mls::DesignFlow> warm_fork(const DesignDB::Snapshot& warm) {
+// A private flow over a fresh copy of the raw design, warmed by its own
+// no-MLS evaluate.
+std::unique_ptr<mls::DesignFlow> warm_fork() {
   auto fork = std::make_unique<mls::DesignFlow>(netlist::make_maeri_16pe(), flow_config());
-  fork->db().restore(warm);
+  fork->evaluate_no_mls();
   return fork;
 }
 
@@ -315,8 +304,8 @@ void seeded_eco(netlist::Netlist& nl, std::uint64_t seed) {
 // Fork `stream` runs three seeded rounds on its own flow: a flag flip each
 // round, plus an ECO in round 1 on even streams. Returns the final state
 // fingerprint.
-std::uint64_t run_stream(const DesignDB::Snapshot& warm, int stream) {
-  const std::unique_ptr<mls::DesignFlow> fork = warm_fork(warm);
+std::uint64_t run_stream(int stream) {
+  const std::unique_ptr<mls::DesignFlow> fork = warm_fork();
   for (int round = 0; round < 3; ++round) {
     if (round == 1 && stream % 2 == 0)
       seeded_eco(fork->db().design().nl, 500 + static_cast<std::uint64_t>(stream));
@@ -326,33 +315,11 @@ std::uint64_t run_stream(const DesignDB::Snapshot& warm, int stream) {
   return fork->db().state_fingerprint();
 }
 
-TEST(FlowFork, SnapshotCounterWatermarkCoversRestoredRevisions) {
-  // The cross-DB restore must advance the fork's revision counter past the
-  // snapshot's: a later commit may never reissue a revision number the
-  // restored tags already hold (a stale stage could alias a fresh built_from
-  // link and be skipped as fresh).
-  util::set_log_level(util::LogLevel::kError);
-  const DesignDB::Snapshot warm = warm_baseline();
-  std::uint64_t max_rev = 0;
-  for (const core::StageTag& t : warm.tags) max_rev = std::max(max_rev, t.revision);
-  EXPECT_GT(max_rev, 0u);
-  EXPECT_GE(warm.counter, max_rev);
-
-  const std::unique_ptr<mls::DesignFlow> fork = warm_fork(warm);
-  const std::uint64_t fp_fork = fork->db().state_fingerprint();
-  fork->evaluate(seeded_flags(fork->design().nl.num_nets(), 42), mls::Strategy::kSota);
-  // The re-route committed under a revision newer than anything restored,
-  // and the fork moved to a state distinct from the warm baseline.
-  EXPECT_GT(fork->db().tag(Stage::kRoutes).revision, max_rev);
-  EXPECT_NE(fork->db().state_fingerprint(), fp_fork);
-}
-
 TEST(FlowFork, ConcurrentForksMatchSerialTwins) {
-  // N threads each fork a private flow from one shared snapshot and run a
-  // distinct seeded mutate/evaluate stream at the same time. Each live
-  // fingerprint must equal the one its stream reaches alone.
+  // N threads each warm a private flow and run a distinct seeded
+  // mutate/evaluate stream at the same time. Each live fingerprint must
+  // equal the one its stream reaches alone.
   util::set_log_level(util::LogLevel::kError);
-  const DesignDB::Snapshot warm = warm_baseline();
   constexpr int kForks = 3;
   std::vector<std::uint64_t> live(kForks, 0);
   std::vector<std::string> errors(kForks);
@@ -360,7 +327,7 @@ TEST(FlowFork, ConcurrentForksMatchSerialTwins) {
   for (int i = 0; i < kForks; ++i)
     threads.emplace_back([&, i] {
       try {
-        live[i] = run_stream(warm, i);
+        live[i] = run_stream(i);
       } catch (const std::exception& e) {
         errors[i] = e.what();
       }
@@ -369,7 +336,7 @@ TEST(FlowFork, ConcurrentForksMatchSerialTwins) {
 
   for (int i = 0; i < kForks; ++i) {
     ASSERT_EQ(errors[i], "") << "stream " << i;
-    EXPECT_EQ(run_stream(warm, i), live[i]) << "stream " << i;
+    EXPECT_EQ(run_stream(i), live[i]) << "stream " << i;
   }
   // Distinct streams must land on distinct states (the twin check would be
   // vacuous if every fork converged to one fingerprint).

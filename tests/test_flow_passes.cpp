@@ -18,6 +18,7 @@
 #include "ft/policy.hpp"
 #include "mls/flow.hpp"
 #include "netlist/generators.hpp"
+#include "obs/metrics.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 
@@ -40,9 +41,8 @@ std::vector<std::string> executed_names(const flow::RunReport& report) {
   return out;
 }
 
-// Bit-identical PPA rows: every field the paper's tables report. Timing
-// fields come through the incremental STA path in several tests, so
-// DOUBLE_EQ (not NEAR) is the point.
+// Bit-identical PPA rows: every field the paper's tables report. Warm and
+// cold runs must agree exactly, so DOUBLE_EQ (not NEAR) is the point.
 void expect_same_ppa(const mls::FlowMetrics& a, const mls::FlowMetrics& b) {
   EXPECT_DOUBLE_EQ(a.wl_m, b.wl_m);
   EXPECT_DOUBLE_EQ(a.wns_ps, b.wns_ps);
@@ -166,8 +166,8 @@ TEST(PassScheduling, TouchedNetRerunsOnlyDependentPassesBitIdentically) {
   const flow::RunReport& report = flow.last_run_report();
 
   // Everything downstream of routes re-runs; nothing else exists to skip in
-  // this pipeline, but the route pass takes the replay path (same netlist),
-  // which is bit-exact with the cold route_all.
+  // this pipeline. The netlist did not move, so the route pass re-runs
+  // route_all, which is bit-exact with the cold one.
   const std::vector<std::string> want = {"route", "sta", "power", "pdn"};
   EXPECT_EQ(executed_names(report), want);
   expect_same_ppa(cold, warm);
@@ -175,17 +175,54 @@ TEST(PassScheduling, TouchedNetRerunsOnlyDependentPassesBitIdentically) {
 
 TEST(PassScheduling, FlagFlipMatchesColdRunOnTwinDesign) {
   // Twin flows over the same generated design: A goes baseline -> SOTA
-  // incrementally (flag diff -> dirty nets -> suffix replay), B routes the
-  // SOTA flags cold. The rows must match bit for bit.
+  // (flag diff -> stale routes -> full re-route), B routes the SOTA flags
+  // cold. The rows must match bit for bit.
   mls::DesignFlow a = make_flow(/*run_pdn=*/true);
   mls::DesignFlow b = make_flow(/*run_pdn=*/true);
 
   a.evaluate_no_mls();
-  const mls::FlowMetrics incremental = a.evaluate_sota();
+  const mls::FlowMetrics flipped = a.evaluate_sota();
   EXPECT_TRUE(a.last_run_report().ran("route"));
 
   const mls::FlowMetrics cold = b.evaluate_sota();
-  expect_same_ppa(incremental, cold);
+  expect_same_ppa(flipped, cold);
+}
+
+// The counters say which path ran: a flag flip is a full route plus one
+// full STA run and no ECO repair; a netlist ECO is one ECO repair.
+TEST(PassScheduling, FlagFlipCountsAFullStaRunAndNoEcoReroute) {
+  mls::DesignFlow flow = make_flow();
+  flow.evaluate_no_mls();
+  obs::Counter& full_runs = obs::Metrics::instance().counter("sta.full_runs");
+  obs::Counter& eco_reroutes = obs::Metrics::instance().counter("route.eco_reroutes");
+  const std::uint64_t runs_before = full_runs.value();
+  const std::uint64_t ecos_before = eco_reroutes.value();
+
+  flow.evaluate_sota();
+  EXPECT_EQ(full_runs.value(), runs_before + 1);
+  EXPECT_EQ(eco_reroutes.value(), ecos_before);
+}
+
+TEST(PassScheduling, BufferSpliceCountsOneEcoReroute) {
+  mls::DesignFlow flow = make_flow();
+  flow.evaluate_no_mls();
+
+  // Splice a buffer pair behind the first driven net.
+  netlist::Netlist& nl = flow.db().design().nl;
+  netlist::Id tapped = netlist::kNullId;
+  for (netlist::Id n = 0; n < nl.num_nets() && tapped == netlist::kNullId; ++n)
+    if (nl.net(n).driver != netlist::kNullId) tapped = n;
+  ASSERT_NE(tapped, netlist::kNullId);
+  const netlist::Id b1 = nl.add_cell(tech::CellKind::kBuf, 0, 80.0f, 90.0f);
+  const netlist::Id b2 = nl.add_cell(tech::CellKind::kBuf, 0, 200.0f, 150.0f);
+  nl.add_sink(tapped, nl.input_pin(b1, 0));
+  nl.connect(b1, 0, b2, 0);
+
+  obs::Counter& eco_reroutes = obs::Metrics::instance().counter("route.eco_reroutes");
+  const std::uint64_t ecos_before = eco_reroutes.value();
+  flow.evaluate_no_mls();
+  EXPECT_TRUE(flow.last_run_report().ran("route"));
+  EXPECT_EQ(eco_reroutes.value(), ecos_before + 1);
 }
 
 TEST(PassScheduling, DftPassDoesNotReinsertOnSecondRun) {
@@ -285,7 +322,6 @@ std::string read_knob(util::env::Knob knob) {
   switch (knob) {
     case Knob::kThreads: return num(flow::Executor::threads_from_env());
     case Knob::kAudit: return num(flow::PassManager::audit_enabled(mls::FlowConfig{}));
-    case Knob::kFt: return num(ft::resolve({}).transactional);
     case Knob::kMaxRetries: return num(ft::resolve({}).max_retries);
     case Knob::kBackoffMs: return num(ft::resolve({}).backoff_base_ms);
     case Knob::kPassBudgetS: return num(ft::resolve({}).pass_budget_s);
@@ -310,8 +346,6 @@ TEST(Executor, ClampsThreadCountFromEnv) {
       {Knob::kAudit, nullptr, "0"},         {Knob::kAudit, "1", "1"},
       {Knob::kAudit, "on", "1"},            {Knob::kAudit, "off", "0"},
       {Knob::kAudit, "0", "0"},             {Knob::kAudit, "", "0"},
-      {Knob::kFt, nullptr, "1"},            {Knob::kFt, "off", "0"},
-      {Knob::kFt, "0", "0"},                {Knob::kFt, "", "1"},
       {Knob::kMaxRetries, nullptr, "2"},    {Knob::kMaxRetries, "5", "5"},
       {Knob::kMaxRetries, "-1", "2"},       {Knob::kMaxRetries, "abc", "0"},
       {Knob::kBackoffMs, nullptr, "0"},     {Knob::kBackoffMs, "2.5", "2.5"},
@@ -330,7 +364,7 @@ TEST(Executor, ClampsThreadCountFromEnv) {
 
   // Run with every knob unset; put the caller's environment back after.
   const std::span<const util::env::KnobInfo> knobs = util::env::knobs();
-  ASSERT_EQ(knobs.size(), 12u);
+  ASSERT_EQ(knobs.size(), 11u);
   std::vector<std::optional<std::string>> saved;
   for (const util::env::KnobInfo& k : knobs) {
     saved.push_back(util::env::value(k.knob));

@@ -181,12 +181,6 @@ TEST_F(Ft, UnknownSiteErrorListsEveryValidSite) {
   }
 }
 
-TEST_F(Ft, LogicErrorSitesThrowLogicError) {
-  ft::FaultPlan& plan = ft::FaultPlan::instance();
-  plan.arm("sta.update");
-  EXPECT_THROW(plan.visit("sta.update"), std::logic_error);
-}
-
 // ---- executor: collect-all semantics ----------------------------------------
 
 std::vector<std::function<void()>> mixed_tasks(std::atomic<int>& ran) {
@@ -377,32 +371,6 @@ TEST_F(Ft, NegotiationBudgetOverrunDegradesToSerialRouter) {
   EXPECT_DOUBLE_EQ(m.wl_m, want.wl_m);
   EXPECT_DOUBLE_EQ(m.wns_ps, want.wns_ps);
   EXPECT_EQ(m.overflow_gcells, want.overflow_gcells);
-}
-
-TEST_F(Ft, StaUpdateFailureFallsBackToFullRebuild) {
-  const mls::FlowConfig cfg = make_config();
-  mls::DesignFlow flow = make_flow(cfg);
-  mls::DesignFlow twin = make_flow(cfg);
-  flow.evaluate_no_mls();
-  twin.evaluate_no_mls();
-
-  const std::uint64_t rebuilds_before =
-      obs::Metrics::instance().counter("ft.sta_rebuilds").value();
-  // The SOTA replay flips flags -> incremental route -> valid delta -> the
-  // STA update path, where the armed precondition failure forces a rebuild.
-  ft::FaultPlan::instance().arm("sta.update");
-  const mls::FlowMetrics faulted = flow.evaluate_sota();
-  EXPECT_EQ(ft::FaultPlan::instance().tripped(), 1u);
-  EXPECT_GE(obs::Metrics::instance().counter("ft.sta_rebuilds").value(),
-            rebuilds_before + 1);
-
-  ft::FaultPlan::instance().reset();
-  const mls::FlowMetrics clean = twin.evaluate_sota();
-
-  // A full rebuild is equivalence-preserving, not a degradation.
-  EXPECT_FALSE(faulted.degraded);
-  EXPECT_TRUE(flow.last_run_report().rollbacks.empty());
-  expect_same_ppa(faulted, clean);
 }
 
 TEST_F(Ft, GnnInferenceFailureDegradesToSota) {

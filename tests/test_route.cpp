@@ -211,60 +211,6 @@ TEST(RouterThreads, BitIdenticalAcrossThreadCounts) {
   ::unsetenv("GNNMLS_THREADS");
 }
 
-// Pins the delta contract documented on RouteSummary: route_all is a full
-// invalidation (both change lists empty), reroute_nets reports the exact
-// set of nets/edges whose routed value moved — no more, no less.
-TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
-  tech::Tech3D tech3d;
-  Design d = placed_16pe(true, tech3d);
-  Router router(d, tech3d);
-  const RouteSummary full = router.route_all({});
-  EXPECT_TRUE(full.changed_nets.empty());
-  EXPECT_TRUE(full.changed_edges.empty());
-
-  // Record the pre-ECO state, flip MLS on for some long nets, replay.
-  std::vector<NetRoute> before(d.nl.num_nets());
-  std::vector<std::vector<EdgeRoute>> before_edges(d.nl.num_nets());
-  for (Id n = 0; n < d.nl.num_nets(); ++n) {
-    before[n] = router.net_route(n);
-    before_edges[n] = router.net_edges(n);
-  }
-  std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
-  std::vector<Id> dirty;
-  for (Id n = 0; n < d.nl.num_nets(); ++n)
-    if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > 100.0 &&
-        d.nl.cell(d.nl.pin(d.nl.net(n).driver).cell).tier == 0) {
-      flags[n] = 1;
-      dirty.push_back(n);
-    }
-  ASSERT_FALSE(dirty.empty());
-  const RouteSummary re = router.reroute_nets(dirty, flags, RerouteMode::kReplay);
-  EXPECT_FALSE(re.changed_nets.empty());
-
-  // Exactness, net level: listed nets changed value, unlisted nets did not.
-  std::vector<bool> listed(d.nl.num_nets(), false);
-  for (const Id n : re.changed_nets) listed[n] = true;
-  for (Id n = 0; n < d.nl.num_nets(); ++n) {
-    const bool moved = !(router.net_route(n).wl_um == before[n].wl_um &&
-                         router.net_route(n).res_ohm == before[n].res_ohm &&
-                         router.net_route(n).cap_ff == before[n].cap_ff &&
-                         router.net_route(n).sink_elmore_ps == before[n].sink_elmore_ps &&
-                         router.net_edges(n) == before_edges[n]);
-    EXPECT_EQ(listed[n], moved) << "net " << n;
-  }
-  // Edge level: every changed edge names a changed net and a real value move.
-  for (const EdgeRef& e : re.changed_edges) {
-    EXPECT_TRUE(listed[e.net]) << "edge of unlisted net " << e.net;
-    ASSERT_LT(e.edge, before_edges[e.net].size());
-    EXPECT_FALSE(router.net_edges(e.net)[e.edge] == before_edges[e.net][e.edge]);
-  }
-
-  // A replay with nothing dirty is the documented no-op.
-  const RouteSummary noop = router.reroute_nets({}, flags, RerouteMode::kReplay);
-  EXPECT_TRUE(noop.changed_nets.empty());
-  EXPECT_TRUE(noop.changed_edges.empty());
-}
-
 // One in-order loop: a zero-iteration route_all (the initial route alone)
 // and an ECO repair of every net on a fresh router both run it over the
 // whole route order, so they must agree edge for edge. Covers both stacks,
@@ -287,7 +233,7 @@ TEST(RouterNegotiation, ZeroIterationsEqualsRerouteOfEveryNet) {
       const RouteSummary rs = initial.route_all(flags);
       EXPECT_EQ(rs.negotiation_iters, 0u);
       Router eco(d, tech3d, opt);
-      const RouteSummary re = eco.reroute_nets(every, flags, RerouteMode::kEco);
+      const RouteSummary re = eco.reroute_nets(every, flags);
       EXPECT_EQ(rs.total_wl_m, re.total_wl_m);
       EXPECT_EQ(rs.census.overflow_gcells, re.census.overflow_gcells);
       EXPECT_EQ(rs.census.f2f_overflow_gcells, re.census.f2f_overflow_gcells);
